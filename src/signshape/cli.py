@@ -34,6 +34,7 @@ from signshape.eigenmoments import (
     QuadratureConfig,
     QuadratureError,
     Spectrum,
+    _sscm_map,
     sscm_asymptotic_cov,
     sscm_eigenvalues,
 )
@@ -244,7 +245,7 @@ def _cmd_shape(args):
 def _cmd_map(args):
     spectrum = _parse_spectrum(args.lambdas, "--lambdas")
     cfg = _quad_cfg(args)
-    out = sscm_eigenvalues(spectrum, cfg)
+    out, quad = _sscm_map(spectrum, cfg)
     payload = {
         "command": "map",
         "lambda": _spectrum_list(spectrum),
@@ -252,8 +253,8 @@ def _cmd_map(args):
         "metadata": {
             "p": len(spectrum),
             "rel_tol": cfg.rel_tol,
-            "abs_tol": cfg.abs_tol,
-            "max_subdivisions": cfg.max_subdivisions,
+            "step": quad.step,
+            "error_estimate": quad.error_estimate,
         },
     }
     return payload, np.asarray(out), _OK

@@ -9,8 +9,8 @@ map and q for the fourth-moment table,
     d d_i / d lam_j = -q_ij / lam_j          (i != j)
     d d_i / d lam_i = (d_i - q_ii) / lam_i
 
-which makes each Newton step cost one eigenvalue evaluation plus one
-fourth-moment evaluation at a relaxed tolerance.
+and one quadrature gives both d and q on shared nodes, so every evaluated
+candidate carries the Jacobian for the next step.
 """
 
 from __future__ import annotations
@@ -25,9 +25,8 @@ from signshape.eigenmoments import (
     QuadratureConfig,
     Spectrum,
     _as_spectrum,
-    _distinct_cross_moments,
-    _distinct_sscm_values,
     _grouped,
+    _moments,
 )
 from signshape.estimators import SscmEstimate
 
@@ -63,15 +62,6 @@ class InversionResult:
     converged: bool
 
 
-def _relaxed(cfg: QuadratureConfig) -> QuadratureConfig:
-    # the Jacobian only steers the iteration; modest accuracy is plenty
-    return QuadratureConfig(
-        rel_tol=max(cfg.rel_tol, 1e-8),
-        abs_tol=max(cfg.abs_tol, 1e-12),
-        max_subdivisions=cfg.max_subdivisions,
-    )
-
-
 def shape_eigenvalues(
     sscm_spectrum,
     tol: float = 1e-9,
@@ -98,34 +88,20 @@ def shape_eigenvalues(
     dvals, mults, inv_nz = _grouped(tvals[support])
     k = dvals.size
 
-    def expand(values: np.ndarray) -> np.ndarray:
-        lam = np.zeros(p)
-        lam[support] = values[inv_nz]
-        return lam
-
-    def forward(values: np.ndarray) -> np.ndarray:
-        return _distinct_sscm_values(values, mults, cfg)
-
-    if k == 1:
-        resid = float(np.abs(forward(dvals) - dvals).max())
-        return InversionResult(Spectrum(expand(dvals)), 0, resid, resid <= tol)
-
     v = dvals.copy()
-    current = forward(v)
-    resid = float(np.abs(current - dvals).max())
-    best_v, best_resid = v, resid
-    jac_cfg = _relaxed(cfg)
+    quad = _moments(v, mults, cfg, cross=True)
+    resid = float(np.abs(quad.values - dvals).max())
     iterations = 0
-    while resid > tol and iterations < max_iter:
+    # a single distinct value is its own preimage
+    while k > 1 and resid > tol and iterations < max_iter:
         iterations += 1
-        cross = _distinct_cross_moments(v, mults, jac_cfg)
-        cross_diag = np.diag(cross)
-        grad = -(cross * (mults[None, :] / v[None, :]))
-        grad[np.diag_indices(k)] = (current - 3.0 * cross_diag - (mults - 1.0) * cross_diag) / v
+        cross_diag = np.diag(quad.cross)
+        grad = -(quad.cross * (mults[None, :] / v[None, :]))
+        grad[np.diag_indices(k)] = (quad.values - 3.0 * cross_diag - (mults - 1.0) * cross_diag) / v
         # eliminate the last value via the unit-sum constraint
         jac = grad[:-1, :-1] - np.outer(grad[:-1, -1], mults[:-1] / mults[-1])
         try:
-            step = np.linalg.solve(jac, -(current - dvals)[:-1])
+            step = np.linalg.solve(jac, -(quad.values - dvals)[:-1])
         except np.linalg.LinAlgError:
             break
         accepted = False
@@ -136,27 +112,28 @@ def shape_eigenvalues(
             candidate = np.append(head, tail)
             if np.all(candidate > 0.0):
                 candidate = np.sort(candidate)[::-1]
-                cand_out = forward(candidate)
-                cand_resid = float(np.abs(cand_out - dvals).max())
+                # the candidate's cross table is the next Jacobian if it is accepted
+                cand = _moments(candidate, mults, cfg, cross=True)
+                cand_resid = float(np.abs(cand.values - dvals).max())
                 if cand_resid < resid:
-                    v, current, resid = candidate, cand_out, cand_resid
+                    v, quad, resid = candidate, cand, cand_resid
                     accepted = True
                     break
             alpha *= 0.5
         if not accepted:
             break
-        if resid < best_resid:
-            best_v, best_resid = v, resid
-    if best_resid < resid:
-        v, resid = best_v, best_resid
-    return InversionResult(Spectrum(expand(v)), iterations, resid, resid <= tol)
+    lam = np.zeros(p)
+    lam[support] = v[inv_nz]
+    return InversionResult(Spectrum(lam), iterations, resid, resid <= tol)
 
 
 def sscm_eigensystem(matrix) -> tuple[Spectrum, np.ndarray]:
     """Descending eigenvalues (clamped into the simplex) and eigenvectors.
 
-    Accepts a sample SSCM, symmetrizes it, clips small negative eigenvalues
-    from roundoff to zero with a warning, and renormalizes the spectrum.
+    Accepts a sample SSCM and symmetrizes it.  Eigenvalues within
+    p * eps * (largest eigenvalue) of zero are set to exactly zero, which makes
+    the rank decision at p > n explicit; larger negative eigenvalues are
+    clipped to zero with a warning.  The spectrum is renormalized.
     """
     mat = np.asarray(matrix, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -170,6 +147,8 @@ def sscm_eigensystem(matrix) -> tuple[Spectrum, np.ndarray]:
     eigvals, eigvecs = np.linalg.eigh(sym)
     eigvals = eigvals[::-1].copy()
     eigvecs = eigvecs[:, ::-1]
+    # numpy's matrix_rank tolerance: anything this small is roundoff, not rank
+    eigvals[np.abs(eigvals) <= eigvals.size * np.finfo(float).eps * eigvals[0]] = 0.0
     if np.any(eigvals < 0.0):
         n_neg = int(np.count_nonzero(eigvals < 0.0))
         warnings.warn(

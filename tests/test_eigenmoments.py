@@ -88,6 +88,14 @@ class TestSscmEigenvalues:
             out = sscm_eigenvalues(lam)
             np.testing.assert_allclose(out.values, two_dim_closed_form(lam), atol=1e-10)
 
+    def test_two_dim_closed_form_extreme_ratios(self):
+        # eigenvalue ratios log-uniform down to 1e-300, each entry to 1e-12 relative
+        rng = np.random.default_rng(11)
+        for exponent in np.append(rng.uniform(-300.0, 0.0, 40), -300.0):
+            lam = np.array([1.0, 10.0**exponent]) / (1.0 + 10.0**exponent)
+            out = sscm_eigenvalues(lam)
+            np.testing.assert_allclose(out.values, two_dim_closed_form(lam), rtol=1e-12, atol=0)
+
     def test_three_dim_pinned_value(self, oracle_pins):
         pin = oracle_pins["sscm_eigenvalues_p3_050_030_020"]
         out = sscm_eigenvalues(pin["lambda"])
@@ -137,7 +145,8 @@ class TestSscmEigenvalues:
                 assert out[i] / out[j] <= lam[i] / lam[j] * (1.0 + 1e-10)
 
     def test_quadrature_failure_raises_with_residual(self):
-        cfg = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-300, max_subdivisions=2)
+        # successive steps cannot agree below the resolution of a double
+        cfg = QuadratureConfig(rel_tol=1e-17)
         with pytest.raises(QuadratureError) as err:
             sscm_eigenvalues([0.99, 0.009, 0.001], cfg)
         assert err.value.residual > 0.0
@@ -190,6 +199,11 @@ class TestFourthMoments:
         np.testing.assert_array_equal(table, table.T)
         np.testing.assert_array_equal(table[3], np.zeros(4))
         np.testing.assert_array_equal(table[:, 3], np.zeros(4))
+
+    def test_exactly_symmetric_at_large_p(self):
+        # the cross table comes from one GEMM, whose summation order is not symmetric
+        table = sign_fourth_moments(random_spectrum(np.random.default_rng(20), 100))
+        np.testing.assert_array_equal(table, table.T)
 
     def test_all_entries_non_negative(self):
         rng = np.random.default_rng(13)

@@ -41,8 +41,10 @@ def test_spatial_sign_norm_is_zero_or_one(coords):
     assert nrm == 0.0 or abs(nrm - 1.0) < 1e-15
 
 
+# no subnormals: with c >= 1e-3, c * x then keeps better than 1e-12 relative
+# precision, while a subnormal x can round to zero (see the test below)
 moderate_coords = st.floats(
-    min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
+    min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False, allow_subnormal=False
 )
 
 
@@ -51,6 +53,11 @@ moderate_coords = st.floats(
 def test_spatial_sign_positive_scale_invariant(coords, c):
     x = np.asarray(coords)
     np.testing.assert_allclose(spatial_sign(c * x), spatial_sign(x), rtol=0, atol=1e-12)
+
+
+def test_spatial_sign_of_underflowed_scaling_is_zero():
+    # 0.5 * 5e-324 rounds to exactly zero, and the sign of the zero vector is zero
+    np.testing.assert_array_equal(spatial_sign(0.5 * np.array([5e-324])), np.zeros(1))
 
 
 class TestSpatialMedian:

@@ -38,6 +38,21 @@ class TestShapeEigenvalues:
                 assert res.converged
                 assert np.abs(res.spectrum.values - lam).max() < 1e-8
 
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("ratio", [1e-10, 1e-12])
+    def test_round_trip_geometric_spectra(self, p, ratio):
+        lam = ratio ** (np.arange(p) / (p - 1))
+        lam /= lam.sum()
+        res = shape_eigenvalues(sscm_eigenvalues(lam))
+        assert res.converged
+        assert np.abs(res.spectrum.values - lam).max() < 1e-8
+
+    def test_near_boundary_target(self):
+        target = np.array([1.0 - 1e-6, 1e-6])
+        res = shape_eigenvalues(target)
+        assert res.converged
+        assert np.abs(sscm_eigenvalues(res.spectrum).values - target).max() <= 1e-9
+
     def test_support_preservation(self):
         forward = sscm_eigenvalues([0.6, 0.4, 0.0])
         res = shape_eigenvalues(forward)
@@ -142,6 +157,17 @@ class TestEstimateShape:
             boot[b] = np.sort(np.linalg.eigvalsh(boot_shape.matrix))[::-1]
         se = boot.std(axis=0, ddof=1)
         assert np.all(np.abs(recovered - lam_true) < 4.0 * se)
+
+    @pytest.mark.parametrize("n, p", [(2, 4), (50, 200), (100, 1000)])
+    def test_more_variables_than_observations(self, n, p):
+        # median-centered signs sum to zero, so the SSCM has rank at most n - 1
+        rng = np.random.default_rng(54)
+        X = rng.standard_normal((n, p)) * np.linspace(2.0, 0.5, p)
+        shape = estimate_shape(sample_sscm(X))
+        assert shape.inversion.converged
+        # the shape matrix shares the eigenvectors, so its rank is the support size
+        assert np.count_nonzero(shape.inversion.spectrum.values) <= n - 1
+        assert abs(np.trace(shape.matrix) - 1.0) < 1e-12
 
     def test_failure_carries_partial_result(self):
         est = SscmEstimate(
