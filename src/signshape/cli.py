@@ -43,7 +43,6 @@ from signshape.inversion import (
     ConvergenceError,
     estimate_shape,
     shape_eigenvalues,
-    sscm_eigensystem,
 )
 from signshape.oracle import EllipticalSampler, mc_sampling_distribution, pin_fixtures
 
@@ -218,13 +217,12 @@ def _cmd_shape(args):
         print(f"warning: {exc}", file=sys.stderr)
         shape = exc.result
         status = _NO_CONVERGENCE
-    sscm_spectrum, _ = sscm_eigensystem(est.matrix)
     inv = shape.inversion
     payload = {
         "command": "shape",
         "matrix": shape.matrix,
         "lambda": _spectrum_list(inv.spectrum),
-        "delta": _spectrum_list(sscm_spectrum),
+        "delta": _spectrum_list(shape.sscm_spectrum),
         "converged": bool(inv.converged),
         "iterations": inv.iterations,
         "residual": inv.residual,
@@ -301,7 +299,7 @@ def _cmd_asymcov(args):
             shape = exc.result
             status = _NO_CONVERGENCE
         spectrum = shape.inversion.spectrum
-        _, basis = sscm_eigensystem(est.matrix)
+        basis = shape.eigenvectors
         source = args.data
         n = est.n_used
     cov = sscm_asymptotic_cov(basis, spectrum, cfg)

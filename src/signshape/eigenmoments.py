@@ -240,29 +240,45 @@ def sscm_eigenvalues(shape_spectrum, cfg: QuadratureConfig | None = None) -> Spe
     return _sscm_map(shape_spectrum, cfg)[0]
 
 
+def _sign_moments(lam: Spectrum, cfg: QuadratureConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Per-entry SSCM eigenvalues and cross table (diagonal E[s_a^4] / 3) from one quadrature."""
+    vals, counts, inv = _grouped(lam.values)
+    nonzero = vals > 0.0
+    delta = np.zeros(vals.size)
+    cross = np.zeros((vals.size, vals.size))
+    if nonzero.sum() == 1 and counts[0] == 1.0:
+        # all mass on one axis: the sign concentrates there and s_1^4 = 1
+        delta[0], cross[0, 0] = 1.0, 1.0 / 3.0
+    else:
+        quad = _moments(vals[nonzero], counts[nonzero], cfg, cross=True)
+        delta[nonzero] = quad.values
+        cross[np.ix_(nonzero, nonzero)] = quad.cross
+    return delta[inv], cross[np.ix_(inv, inv)]
+
+
+def _pairings(basis: np.ndarray, cross: np.ndarray, direct: np.ndarray) -> np.ndarray:
+    """V direct V^T + G[i,k,j,l] + G[i,l,j,k], G = V cross V^T, V = [vec(o_a o_a^T)], in O(p^5).
+
+    Sign-flip symmetry gives E[s_a s_b s_c s_d] = d_ab d_cd C_ac + (d_ac d_bd + d_ad d_bc) C_ab,
+    so with direct = cross this is the sign moment matrix in basis O.
+    """
+    p = basis.shape[0]
+    vecs = np.einsum("ia,ja->ija", basis, basis).reshape(p * p, p)
+    g = (vecs @ cross @ vecs.T).reshape(p, p, p, p)
+    out = np.add(g.transpose(0, 2, 1, 3), g.transpose(0, 2, 3, 1), order="C").reshape(p * p, p * p)
+    del g  # freed before the direct term's p^4 temporary
+    out += vecs @ direct @ vecs.T
+    return out
+
+
 def sign_fourth_moments(shape_spectrum, cfg: QuadratureConfig | None = None) -> np.ndarray:
     """Fourth moments E[s_i^2 s_j^2] of the spatial sign vector in the eigenbasis.
 
     Returns the symmetric p x p table whose row sums reproduce the SSCM
     eigenvalues.  Rows and columns at zero shape eigenvalues are exactly zero.
     """
-    lam = _as_spectrum(shape_spectrum)
-    p = len(lam)
-    vals, counts, inv = _grouped(lam.values)
-    nonzero = vals > 0.0
-    v = vals[nonzero]
-    m = counts[nonzero]
-    k = vals.size
-    if v.size == 1 and m[0] == 1.0:
-        # all mass on one axis: the sign concentrates there and s_1^4 = 1
-        table = np.zeros((p, p))
-        table[0, 0] = 1.0
-        return table
-    full = np.zeros((k, k))
-    full[np.ix_(nonzero, nonzero)] = _moments(v, m, cfg or DEFAULT_QUADRATURE, cross=True).cross
-    table = full[inv][:, inv]
-    diag = np.arange(p)
-    table[diag, diag] = 3.0 * full[inv, inv]
+    _, table = _sign_moments(_as_spectrum(shape_spectrum), cfg or DEFAULT_QUADRATURE)
+    table[np.diag_indices_from(table)] *= 3.0
     return table
 
 
@@ -272,27 +288,11 @@ def sign_moment_matrix(shape_spectrum, cfg: QuadratureConfig | None = None) -> n
     In the shape eigenbasis every entry is a mixed fourth moment
     E[s_a s_b s_c s_d].  Sign-flip symmetry of each coordinate kills every
     entry with an unpaired index, so for a p x p problem only p(3p - 2) of
-    the p^4 entries can be nonzero; the remaining entries are set to zero
-    structurally and never computed.  Row-major vec ordering is used
-    (position of matrix entry (i, j) is i*p + j).
+    the p^4 entries can be nonzero; the remaining entries are exactly zero.
+    Row-major vec ordering is used (position of matrix entry (i, j) is i*p + j).
     """
-    cfg = cfg or DEFAULT_QUADRATURE
-    lam = _as_spectrum(shape_spectrum)
-    moments = sign_fourth_moments(lam, cfg)
-    p = len(lam)
-    out = np.zeros((p * p, p * p))
-    for i in range(p):
-        out[i * p + i, i * p + i] = moments[i, i]
-    for i in range(p):
-        for j in range(i + 1, p):
-            mij = moments[i, j]
-            out[i * p + j, i * p + j] = mij
-            out[j * p + i, j * p + i] = mij
-            out[i * p + i, j * p + j] = mij
-            out[j * p + j, i * p + i] = mij
-            out[i * p + j, j * p + i] = mij
-            out[j * p + i, i * p + j] = mij
-    return out
+    _, cross = _sign_moments(_as_spectrum(shape_spectrum), cfg or DEFAULT_QUADRATURE)
+    return _pairings(np.eye(cross.shape[0]), cross, cross)
 
 
 @dataclass
@@ -300,8 +300,8 @@ class AsymptoticCov:
     """Asymptotic covariance of sqrt(n) vec(S_n) with its building blocks.
 
     ``w`` is the p^2 x p^2 covariance, ``gamma`` the uncentered sign moment
-    matrix in the eigenbasis, and ``eigenvectors`` the orthogonal matrix used
-    in the Kronecker sandwich.
+    matrix in the eigenbasis, and ``eigenvectors`` the orthogonal matrix O
+    that carries gamma into the data coordinates.
     """
 
     gamma: np.ndarray
@@ -314,11 +314,11 @@ def sscm_asymptotic_cov(
 ) -> AsymptoticCov:
     """Asymptotic covariance of the sample SSCM at an elliptical population.
 
-    Computes ``(O kron O) (gamma - vec(D) vec(D)^T) (O kron O)^T`` where D is
-    the diagonal matrix of SSCM eigenvalues and O the shape eigenvector
-    matrix.  ``eigenvectors`` must be orthogonal to within 1e-10.
+    W is ``(O kron O) (gamma - vec(D) vec(D)^T) (O kron O)^T``, D the diagonal
+    matrix of SSCM eigenvalues and O the shape eigenvectors, built directly in
+    basis O from the sign-flip pairing.  ``eigenvectors`` must be orthogonal
+    to within 1e-10.
     """
-    cfg = cfg or DEFAULT_QUADRATURE
     lam = _as_spectrum(shape_spectrum)
     p = len(lam)
     basis = np.asarray(eigenvectors, dtype=float)
@@ -331,11 +331,10 @@ def sscm_asymptotic_cov(
         raise ValueError(
             f"eigenvector matrix is not orthogonal (defect {ortho_defect:.3e} > 1e-10)"
         )
-    gamma = sign_moment_matrix(lam, cfg)
-    deltas = sscm_eigenvalues(lam, cfg).values
-    vec_diag = np.diag(deltas).ravel()
-    inner = gamma - np.outer(vec_diag, vec_diag)
-    sandwich = np.kron(basis, basis)
-    w = sandwich @ inner @ sandwich.T
-    w = 0.5 * (w + w.T)
+    delta, cross = _sign_moments(lam, cfg or DEFAULT_QUADRATURE)
+    gamma = _pairings(np.eye(p), cross, cross)
+    # vec(O D O^T) = V delta, so the centering joins the direct term
+    w = _pairings(basis, cross, cross - np.outer(delta, delta))
+    w += w.T  # exactly symmetric: both halves add the same two numbers
+    w *= 0.5
     return AsymptoticCov(gamma=gamma, w=w, eigenvectors=basis.copy())

@@ -89,11 +89,6 @@ def _normalize_rows(diff: np.ndarray):
     return out, count
 
 
-def _row_signs(X: np.ndarray, center: np.ndarray):
-    """Spatial signs of the rows of X about center."""
-    return _normalize_rows(X - center)
-
-
 @dataclass
 class SpatialMedian:
     """Result of the spatial median iteration.
@@ -144,10 +139,12 @@ def spatial_median(data, tol: float = 1e-10, max_iter: int = 1000) -> SpatialMed
             return SpatialMedian(mu, True, iterations, residual)
         if iterations == max_iter:
             break
-        target = (w @ X[~anchored]) / w.sum()
+        # step by a correction to mu: its rounding scales with the step, not
+        # with |X| as a weighted mean of X would, so the residual can reach tol
+        shift = pull / w.sum()
         if n_anchor and pull_norm > 0.0:
-            step = min(1.0, n_anchor / pull_norm)
-            target = (1.0 - step) * target + step * mu
+            shift *= 1.0 - min(1.0, n_anchor / pull_norm)
+        target = mu + shift
         if np.array_equal(target, mu):
             break  # fixed point at float precision
         mu = target
@@ -206,7 +203,7 @@ def sample_sscm(
             raise ValueError(f"center must have shape ({p},), got {mu.shape}")
         if not np.all(np.isfinite(mu)):
             raise ValueError("center must be finite")
-    signs, _ = _row_signs(X, mu)
+    signs, _ = _normalize_rows(X - mu)
     mat = (signs.T @ signs) / n
     mat = 0.5 * (mat + mat.T)
     return SscmEstimate(matrix=mat, kind="sscm", n_used=n, center=mu.copy(), median=median)

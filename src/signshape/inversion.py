@@ -167,13 +167,16 @@ def sscm_eigensystem(matrix) -> tuple[Spectrum, np.ndarray]:
 class ShapeEstimate:
     """Trace-normalized shape matrix reconstructed from a sample SSCM.
 
-    Shares the eigenvectors of ``source.matrix``; ``inversion`` records the
-    eigenvalue recovery.
+    ``sscm_spectrum`` and ``eigenvectors`` are the eigensystem of
+    ``source.matrix``, which the shape matrix shares; ``inversion`` records
+    the eigenvalue recovery.
     """
 
     matrix: np.ndarray
     source: SscmEstimate
     inversion: InversionResult
+    sscm_spectrum: Spectrum
+    eigenvectors: np.ndarray
 
 
 def estimate_shape(
@@ -193,7 +196,7 @@ def estimate_shape(
     lam = inversion.spectrum.values
     shape = (eigvecs * lam) @ eigvecs.T
     shape = 0.5 * (shape + shape.T)
-    result = ShapeEstimate(matrix=shape, source=sscm, inversion=inversion)
+    result = ShapeEstimate(shape, sscm, inversion, spectrum, eigvecs)
     if not inversion.converged:
         raise ConvergenceError(
             f"eigenvalue inversion stalled at residual {inversion.residual:.3e} "

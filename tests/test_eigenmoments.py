@@ -12,6 +12,7 @@ from signshape import (
     sscm_asymptotic_cov,
     sscm_eigenvalues,
 )
+from signshape import eigenmoments
 from tests.conftest import random_spectrum
 
 
@@ -297,11 +298,41 @@ class TestAsymptoticCov:
         with pytest.raises(ValueError):
             sscm_asymptotic_cov(np.eye(3), [0.5, 0.5])
 
-    def test_rotation_conjugates_the_covariance(self):
+    @pytest.mark.parametrize(
+        "p, lam",
+        [
+            (3, None),
+            (6, None),
+            (10, None),
+            (6, [0.25, 0.25, 0.2, 0.2, 0.05, 0.05]),
+            (5, [0.4, 0.3, 0.2, 0.1, 0.0]),
+            (3, [1.0, 0.0, 0.0]),
+        ],
+        ids=["3", "6", "10", "tie", "zero", "single-axis"],
+    )
+    def test_rotation_conjugates_the_covariance(self, p, lam):
         rng = np.random.default_rng(19)
-        lam = random_spectrum(rng, 3)
-        Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-        plain = sscm_asymptotic_cov(np.eye(3), lam).w
+        if lam is None:
+            lam = random_spectrum(rng, p)
+        Q, _ = np.linalg.qr(rng.standard_normal((p, p)))
+        plain = sscm_asymptotic_cov(np.eye(p), lam)
         rotated = sscm_asymptotic_cov(Q, lam).w
         K = np.kron(Q, Q)
-        np.testing.assert_allclose(rotated, K @ plain @ K.T, atol=1e-12)
+        np.testing.assert_allclose(rotated, K @ plain.w @ K.T, atol=1e-12)
+        # the definition (O kron O)(gamma - vec(D) vec(D)^T)(O kron O)^T
+        vec_d = np.diag(sscm_eigenvalues(lam).values).ravel()
+        reference = K @ (plain.gamma - np.outer(vec_d, vec_d)) @ K.T
+        np.testing.assert_allclose(rotated, reference, atol=1e-12)
+        np.testing.assert_array_equal(rotated, rotated.T)
+
+    def test_one_quadrature_per_call(self, monkeypatch):
+        calls = []
+        original = eigenmoments._moments
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(eigenmoments, "_moments", counting)
+        sscm_asymptotic_cov(np.eye(4), [0.4, 0.3, 0.2, 0.1])
+        assert len(calls) == 1

@@ -116,6 +116,19 @@ class TestSpatialMedian:
             probes.append(objective(np.median(X, axis=0)))
             assert at_median <= min(probes) + tol * X.shape[0]
 
+    def test_converges_on_large_offset_sample(self):
+        # n = 20000 rows about 10 units from the origin: rounding in the update
+        # must not hold the gradient residual above the default tol
+        rng = np.random.default_rng(0)
+        X = (
+            rng.standard_normal((20000, 5)) * np.sqrt(rng.dirichlet(np.ones(5)))
+            / np.sqrt(rng.chisquare(3, 20000) / 3.0)[:, None]
+            + 10.0 * rng.standard_normal(5)
+        )
+        med = spatial_median(X)
+        assert med.converged
+        assert med.residual_gradient_norm <= 1e-10
+
 
 class TestSampleSscm:
     def test_cross_with_known_center(self):
