@@ -14,9 +14,8 @@ pin-fixtures         regenerate the recorded Monte Carlo oracle constants
 Input CSV files hold one observation per row.  The first row is treated as a
 header and skipped unless ``--no-header`` is given.  Results are written to
 standard output as a single JSON object (default) or as a bare CSV matrix;
-floats are serialized with 17 significant digits so values round-trip
-exactly.  Exit codes: 0 success, 1 invalid input, 2 numerical
-non-convergence.
+each float is written as the shortest text that round-trips exactly.  Exit
+codes: 0 success, 1 invalid input, 2 numerical non-convergence.
 """
 
 from __future__ import annotations
@@ -24,8 +23,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -36,7 +35,6 @@ from signshape.eigenmoments import (
     Spectrum,
     _sscm_map,
     sscm_asymptotic_cov,
-    sscm_eigenvalues,
 )
 from signshape.estimators import sample_kendall_tau, sample_sscm
 from signshape.inversion import (
@@ -57,83 +55,44 @@ class _Parser(argparse.ArgumentParser):
         self.exit(_INVALID_INPUT, f"{self.prog}: error: {message}\n")
 
 
-def _format_float(x: float) -> str:
-    if not math.isfinite(x):
-        raise ValueError(f"cannot serialize non-finite number {x!r}")
-    return "%.17g" % x
-
-
-def _write_json(obj, out: list) -> None:
-    if isinstance(obj, dict):
-        out.append("{")
-        for i, (key, value) in enumerate(obj.items()):
-            if i:
-                out.append(", ")
-            out.append(json.dumps(key))
-            out.append(": ")
-            _write_json(value, out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, value in enumerate(obj):
-            if i:
-                out.append(", ")
-            _write_json(value, out)
-        out.append("]")
-    elif isinstance(obj, np.ndarray):
-        _write_json(obj.tolist(), out)
-    elif isinstance(obj, (bool, np.bool_)):
-        out.append("true" if obj else "false")
-    elif obj is None:
-        out.append("null")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(_format_float(float(obj)))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    else:
-        raise TypeError(f"cannot serialize {type(obj)!r}")
-
-
-def _dumps(payload: dict) -> str:
-    out: list = []
-    _write_json(payload, out)
-    return "".join(out)
+def _jsonable(obj):
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
 def _emit(payload: dict, csv_payload, fmt: str) -> None:
     if fmt == "json":
-        sys.stdout.write(_dumps(payload) + "\n")
+        sys.stdout.write(json.dumps(payload, default=_jsonable, allow_nan=False) + "\n")
         return
     rows = np.atleast_2d(np.asarray(csv_payload, dtype=float))
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    for row in rows:
-        writer.writerow([_format_float(float(x)) for x in row])
+    if not np.all(np.isfinite(rows)):
+        raise ValueError("cannot serialize non-finite values")
+    csv.writer(sys.stdout, lineterminator="\n").writerows(rows.tolist())
 
 
 def _read_csv(path: str, no_header: bool) -> np.ndarray:
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
-            rows = list(csv.reader(handle))
+        with warnings.catch_warnings():
+            # an empty input warns before it returns; it is reported below instead
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(
+                path,
+                delimiter=",",
+                skiprows=0 if no_header else 1,
+                ndmin=2,
+                comments=None,
+                quotechar='"',
+                encoding="utf-8",
+            )
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
-    if not no_header:
-        if not rows:
-            raise ValueError(f"{path}: empty file")
-        rows = rows[1:]
-    rows = [row for row in rows if row]
-    if not rows:
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if data.size == 0:
         raise ValueError(f"{path}: no data rows")
-    width = len(rows[0])
-    data = np.empty((len(rows), width))
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise ValueError(f"{path}: row {i + 1} has {len(row)} fields, expected {width}")
-        try:
-            data[i] = [float(cell) for cell in row]
-        except ValueError:
-            raise ValueError(f"{path}: non-numeric value in row {i + 1}") from None
     return data
 
 
@@ -306,7 +265,7 @@ def _cmd_asymcov(args):
     payload = {
         "command": "asymcov",
         "lambda": _spectrum_list(spectrum),
-        "delta": _spectrum_list(sscm_eigenvalues(spectrum, cfg)),
+        "delta": _spectrum_list(cov.sscm_spectrum),
         "w": cov.w,
         "gamma": cov.gamma,
         "eigenvectors": cov.eigenvectors,
@@ -360,15 +319,17 @@ def _cmd_pin_fixtures(args):
     return None, None, _OK
 
 
-def _add_common(sub, data=False):
-    if data:
-        sub.add_argument("data", help="CSV file, observations in rows")
-        sub.add_argument(
-            "--no-header", action="store_true", help="treat the first row as data, not a header"
-        )
-    sub.add_argument("--tol", type=float, default=None, help="iteration tolerance")
+def _add_data(sub, nargs=None):
+    sub.add_argument("data", nargs=nargs, help="CSV file, observations in rows")
+    sub.add_argument(
+        "--no-header", action="store_true", help="treat the first row as data, not a header"
+    )
+
+
+def _add_common(sub, tol=1e-9, max_iter=100):
+    sub.add_argument("--tol", type=float, default=tol, help="iteration tolerance")
     sub.add_argument("--rel-tol", type=float, default=None, help="quadrature relative tolerance")
-    sub.add_argument("--max-iter", type=int, default=None, help="iteration cap")
+    sub.add_argument("--max-iter", type=int, default=max_iter, help="iteration cap")
     sub.add_argument("--output", choices=("json", "csv"), default="json")
 
 
@@ -377,15 +338,18 @@ def build_parser() -> _Parser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     sub = commands.add_parser("sscm", help="sample spatial sign covariance matrix")
-    _add_common(sub, data=True)
+    _add_data(sub)
+    _add_common(sub, tol=1e-10, max_iter=1000)
     sub.set_defaults(func=_cmd_sscm)
 
     sub = commands.add_parser("kendall", help="spatial Kendall's tau matrix")
-    _add_common(sub, data=True)
+    _add_data(sub)
+    _add_common(sub, tol=1e-10, max_iter=1000)
     sub.set_defaults(func=_cmd_kendall)
 
     sub = commands.add_parser("shape", help="shape matrix estimated from the SSCM")
-    _add_common(sub, data=True)
+    _add_data(sub)
+    _add_common(sub)
     sub.set_defaults(func=_cmd_shape)
 
     sub = commands.add_parser("map", help="shape eigenvalues to SSCM eigenvalues")
@@ -399,15 +363,9 @@ def build_parser() -> _Parser:
     sub.set_defaults(func=_cmd_invmap)
 
     sub = commands.add_parser("asymcov", help="asymptotic covariance of the sample SSCM")
-    sub.add_argument("data", nargs="?", default=None, help="CSV file, observations in rows")
+    _add_data(sub, nargs="?")
     sub.add_argument("--lambdas", default=None, help="comma-separated shape eigenvalues")
-    sub.add_argument(
-        "--no-header", action="store_true", help="treat the first row as data, not a header"
-    )
-    sub.add_argument("--tol", type=float, default=None)
-    sub.add_argument("--rel-tol", type=float, default=None)
-    sub.add_argument("--max-iter", type=int, default=None)
-    sub.add_argument("--output", choices=("json", "csv"), default="json")
+    _add_common(sub)
     sub.set_defaults(func=_cmd_asymcov)
 
     sub = commands.add_parser("simulate", help="Monte Carlo sampling distribution of the SSCM")
@@ -416,7 +374,7 @@ def build_parser() -> _Parser:
     sub.add_argument("--replicates", type=int, default=100)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--radial", choices=("chi", "constant", "coupled"), default="chi")
-    _add_common(sub)
+    _add_common(sub, tol=1e-10)
     sub.set_defaults(func=_cmd_simulate)
 
     sub = commands.add_parser("pin-fixtures", help="regenerate Monte Carlo oracle constants")
@@ -427,31 +385,22 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _fill_defaults(args) -> None:
-    # per-command defaults shared across iterative routines
-    if getattr(args, "tol", None) is None:
-        args.tol = 1e-10 if args.command in ("sscm", "kendall", "simulate") else 1e-9
-    if getattr(args, "max_iter", None) is None:
-        args.max_iter = 1000 if args.command in ("sscm", "kendall") else 100
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    _fill_defaults(args)
     try:
         payload, csv_payload, status = args.func(args)
+        if payload is not None:
+            _emit(payload, csv_payload, args.output)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _INVALID_INPUT
     except (QuadratureError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _NO_CONVERGENCE
-    if payload is not None:
-        _emit(payload, csv_payload, args.output if hasattr(args, "output") else "json")
     return status
 
 

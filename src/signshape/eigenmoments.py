@@ -89,7 +89,12 @@ class Spectrum:
             raise ValueError("spectrum entries must be non-negative")
         if np.any(np.diff(v) > 0.0):
             raise ValueError("spectrum must be sorted in descending order")
-        total = v.sum()
+        with np.errstate(over="ignore"):
+            total = v.sum()
+        if math.isinf(total):
+            # finite entries whose sum overflows: rescale first
+            v = v / v.max()
+            total = v.sum()
         if not total > 0.0:
             raise ValueError("spectrum must have a positive sum")
         self.values = v / total
@@ -212,10 +217,12 @@ def _sscm_map(shape_spectrum, cfg: QuadratureConfig | None) -> tuple[Spectrum, _
     quad = _moments(vals[nonzero], counts[nonzero], cfg or DEFAULT_QUADRATURE)
     out = np.zeros_like(vals)
     out[nonzero] = quad.values
-    full = out[inv]
+    return _descending(out[inv]), quad
+
+
+def _descending(delta: np.ndarray) -> Spectrum:
     # guard against order inversions from quadrature noise between near-ties
-    np.minimum.accumulate(full, out=full)
-    return Spectrum(full), quad
+    return Spectrum(np.minimum.accumulate(delta))
 
 
 def sscm_eigenvalues(shape_spectrum, cfg: QuadratureConfig | None = None) -> Spectrum:
@@ -300,13 +307,15 @@ class AsymptoticCov:
     """Asymptotic covariance of sqrt(n) vec(S_n) with its building blocks.
 
     ``w`` is the p^2 x p^2 covariance, ``gamma`` the uncentered sign moment
-    matrix in the eigenbasis, and ``eigenvectors`` the orthogonal matrix O
-    that carries gamma into the data coordinates.
+    matrix in the eigenbasis, ``eigenvectors`` the orthogonal matrix O
+    that carries gamma into the data coordinates, and ``sscm_spectrum`` the
+    population SSCM eigenvalues W is centred with, from the same quadrature.
     """
 
     gamma: np.ndarray
     w: np.ndarray
     eigenvectors: np.ndarray
+    sscm_spectrum: Spectrum
 
 
 def sscm_asymptotic_cov(
@@ -337,4 +346,6 @@ def sscm_asymptotic_cov(
     w = _pairings(basis, cross, cross - np.outer(delta, delta))
     w += w.T  # exactly symmetric: both halves add the same two numbers
     w *= 0.5
-    return AsymptoticCov(gamma=gamma, w=w, eigenvectors=basis.copy())
+    return AsymptoticCov(
+        gamma=gamma, w=w, eigenvectors=basis.copy(), sscm_spectrum=_descending(delta)
+    )

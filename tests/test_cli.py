@@ -5,7 +5,15 @@ import sys
 import numpy as np
 import pytest
 
-from signshape import Spectrum, estimate_shape, sample_sscm
+from signshape import (
+    Spectrum,
+    cli,
+    eigenmoments,
+    estimate_shape,
+    sample_sscm,
+    sscm_asymptotic_cov,
+    sscm_eigenvalues,
+)
 
 
 def run_cli(*args, **kwargs):
@@ -180,12 +188,94 @@ def test_malformed_csv_exits_one(tmp_path, content):
     proc = run_cli("sscm", str(path))
     assert proc.returncode == 1
     assert proc.stderr.strip()
+    assert str(path) in proc.stderr
 
 
 def test_missing_file_exits_one():
     proc = run_cli("sscm", "/does/not/exist.csv")
     assert proc.returncode == 1
     assert "error" in proc.stderr
+    assert "/does/not/exist.csv" in proc.stderr
+
+
+def test_quoted_fields_are_read(tmp_path):
+    path = tmp_path / "quoted.csv"
+    path.write_text('"x","y"\n"1","0"\n"-1","0"\n"0","1"\n"0","-1"\n')
+    proc = run_cli("sscm", str(path))
+    assert proc.returncode == 0
+    payload = json.loads(proc.stdout)
+    assert payload["metadata"]["n"] == 4
+    np.testing.assert_allclose(payload["matrix"], [[0.5, 0.0], [0.0, 0.5]], atol=1e-12)
+
+
+def test_asymcov_output_is_exact():
+    payload = json.loads(run_cli("asymcov", "--lambdas", "0.5,0.3,0.2").stdout)
+    cov = sscm_asymptotic_cov(np.eye(3), [0.5, 0.3, 0.2])
+    assert np.array_equal(payload["w"], cov.w)
+    assert np.array_equal(payload["gamma"], cov.gamma)
+    np.testing.assert_allclose(
+        payload["delta"], sscm_eigenvalues([0.5, 0.3, 0.2]).values, rtol=0, atol=1e-15
+    )
+
+
+def test_csv_output_is_exact(tmp_path):
+    rng = np.random.default_rng(31)
+    data = rng.standard_normal((40, 3)) * np.array([3.0, 1.0, 0.1])
+    path = tmp_path / "data.csv"
+    path.write_text("\n".join(",".join(repr(float(v)) for v in row) for row in data) + "\n")
+    proc = run_cli("sscm", str(path), "--no-header", "--output", "csv")
+    assert proc.returncode == 0
+    rows = [[float(cell) for cell in line.split(",")] for line in proc.stdout.splitlines()]
+    assert np.array_equal(rows, sample_sscm(data, tol=1e-10, max_iter=1000).matrix)
+
+
+def test_overflowing_spectrum_is_rescaled():
+    proc = run_cli("map", "--lambdas", "1e308,1e308")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["delta"] == [0.5, 0.5]
+
+
+def test_asymcov_runs_one_quadrature(monkeypatch, capsys):
+    calls = []
+    original = eigenmoments._moments
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(eigenmoments, "_moments", counting)
+    assert cli.main(["asymcov", "--lambdas", "0.5,0.3,0.2"]) == 0
+    assert len(calls) == 1
+    assert json.loads(capsys.readouterr().out)["command"] == "asymcov"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_non_finite_output_exits_one(monkeypatch, capsys, fmt):
+    def non_finite(args):
+        return {"command": "map", "delta": np.array([np.nan, 1.0])}, np.array([np.inf]), 0
+
+    monkeypatch.setattr(cli, "_cmd_map", non_finite)
+    assert cli.main(["map", "--lambdas", "0.5,0.5", "--output", fmt]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv, tol, max_iter",
+    [
+        (["sscm", "d.csv"], 1e-10, 1000),
+        (["kendall", "d.csv"], 1e-10, 1000),
+        (["simulate", "--lambdas", "1", "--n", "2"], 1e-10, 100),
+        (["shape", "d.csv"], 1e-9, 100),
+        (["map", "--lambdas", "1"], 1e-9, 100),
+        (["invmap", "--deltas", "1"], 1e-9, 100),
+        (["asymcov", "--lambdas", "1"], 1e-9, 100),
+    ],
+)
+def test_per_command_defaults(argv, tol, max_iter):
+    args = cli.build_parser().parse_args(argv)
+    assert (args.tol, args.max_iter, args.rel_tol, args.output) == (tol, max_iter, None, "json")
 
 
 def test_invalid_spectrum_exits_one():

@@ -62,6 +62,12 @@ class TestSpectrum:
         with pytest.raises(ValueError):
             Spectrum(np.asarray(bad, dtype=float))
 
+    def test_overflowing_sum_is_rescaled(self):
+        np.testing.assert_array_equal(Spectrum([1e308, 1e308]).values, [0.5, 0.5])
+        np.testing.assert_array_equal(
+            Spectrum([2.0**1023, 2.0**1022, 2.0**1022]).values, [0.5, 0.25, 0.25]
+        )
+
     def test_asarray_view(self):
         s = Spectrum(np.array([0.6, 0.4]))
         np.testing.assert_array_equal(np.asarray(s), s.values)
@@ -336,3 +342,13 @@ class TestAsymptoticCov:
         monkeypatch.setattr(eigenmoments, "_moments", counting)
         sscm_asymptotic_cov(np.eye(4), [0.4, 0.3, 0.2, 0.1])
         assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "lam", [[0.4, 0.3, 0.2, 0.1], [0.5, 0.25, 0.25], [1.0, 0.0, 0.0], [0.6, 0.4 - 1e-12, 1e-12]]
+    )
+    def test_carries_the_sscm_spectrum(self, lam):
+        cov = sscm_asymptotic_cov(np.eye(len(lam)), lam)
+        assert isinstance(cov.sscm_spectrum, Spectrum)
+        np.testing.assert_allclose(
+            cov.sscm_spectrum.values, sscm_eigenvalues(lam).values, rtol=0, atol=1e-15
+        )
