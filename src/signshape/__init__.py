@@ -27,7 +27,6 @@ from signshape.estimators import (
     sample_sscm,
     spatial_median,
     spatial_sign,
-    thread_cap,
 )
 from signshape.inversion import (
     ConvergenceError,
@@ -76,6 +75,5 @@ __all__ = [
     "sscm_asymptotic_cov",
     "sscm_eigensystem",
     "sscm_eigenvalues",
-    "thread_cap",
     "__version__",
 ]

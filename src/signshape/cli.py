@@ -165,17 +165,22 @@ def _cmd_kendall(args):
     return payload, est.matrix, _OK
 
 
-def _cmd_shape(args):
-    data = _read_csv(args.data, args.no_header)
-    cfg = _quad_cfg(args)
-    est = sample_sscm(data, tol=args.tol, max_iter=args.max_iter)
-    status = _OK
+def _shape_from_csv(args, cfg):
+    """SSCM and shape estimate of a CSV file, with the exit status.
+
+    A non-converged inversion warns and yields its last iterate with status 2.
+    """
+    est = sample_sscm(_read_csv(args.data, args.no_header), tol=args.tol, max_iter=args.max_iter)
     try:
-        shape = estimate_shape(est, tol=args.tol, max_iter=args.max_iter, cfg=cfg)
+        return est, estimate_shape(est, tol=args.tol, max_iter=args.max_iter, cfg=cfg), _OK
     except ConvergenceError as exc:
         print(f"warning: {exc}", file=sys.stderr)
-        shape = exc.result
-        status = _NO_CONVERGENCE
+        return est, exc.result, _NO_CONVERGENCE
+
+
+def _cmd_shape(args):
+    cfg = _quad_cfg(args)
+    est, shape, status = _shape_from_csv(args, cfg)
     inv = shape.inversion
     payload = {
         "command": "shape",
@@ -240,7 +245,6 @@ def _cmd_invmap(args):
 
 def _cmd_asymcov(args):
     cfg = _quad_cfg(args)
-    status = _OK
     if (args.data is None) == (args.lambdas is None):
         raise ValueError("asymcov needs either a data file or --lambdas, not both")
     if args.lambdas is not None:
@@ -248,15 +252,9 @@ def _cmd_asymcov(args):
         basis = np.eye(len(spectrum))
         source = "inline"
         n = None
+        status = _OK
     else:
-        data = _read_csv(args.data, args.no_header)
-        est = sample_sscm(data, tol=args.tol, max_iter=args.max_iter)
-        try:
-            shape = estimate_shape(est, tol=args.tol, max_iter=args.max_iter, cfg=cfg)
-        except ConvergenceError as exc:
-            print(f"warning: {exc}", file=sys.stderr)
-            shape = exc.result
-            status = _NO_CONVERGENCE
+        est, shape, status = _shape_from_csv(args, cfg)
         spectrum = shape.inversion.spectrum
         basis = shape.eigenvectors
         source = args.data
@@ -330,6 +328,10 @@ def _add_common(sub, tol=1e-9, max_iter=100):
     sub.add_argument("--tol", type=float, default=tol, help="iteration tolerance")
     sub.add_argument("--rel-tol", type=float, default=None, help="quadrature relative tolerance")
     sub.add_argument("--max-iter", type=int, default=max_iter, help="iteration cap")
+    _add_output(sub)
+
+
+def _add_output(sub):
     sub.add_argument("--output", choices=("json", "csv"), default="json")
 
 
@@ -344,7 +346,7 @@ def build_parser() -> _Parser:
 
     sub = commands.add_parser("kendall", help="spatial Kendall's tau matrix")
     _add_data(sub)
-    _add_common(sub, tol=1e-10, max_iter=1000)
+    _add_output(sub)
     sub.set_defaults(func=_cmd_kendall)
 
     sub = commands.add_parser("shape", help="shape matrix estimated from the SSCM")

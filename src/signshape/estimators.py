@@ -2,16 +2,13 @@
 sample spatial sign covariance matrix (SSCM) plus its pairwise-difference
 variant, the spatial Kendall's tau matrix.
 
-All functions are pure and safe to call concurrently.  The pairwise loop in
-:func:`sample_kendall_tau` may run on several threads (capped by the
-``SIGNSHAPE_THREADS`` environment variable); chunk boundaries and the
-reduction order are fixed, so the result never depends on scheduling.
+All functions are pure and safe to call concurrently.  Both matrix
+estimators reduce to one kernel, the sum of s s^T over the spatial signs of
+the rows of a difference matrix.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,22 +21,6 @@ __all__ = [
     "spatial_median",
     "spatial_sign",
 ]
-
-
-def thread_cap() -> int:
-    """Maximum number of worker threads, from ``SIGNSHAPE_THREADS``.
-
-    Defaults to the CPU count when the variable is unset.  Values below one
-    are clamped to one; a non-integer value is an input error.
-    """
-    raw = os.environ.get("SIGNSHAPE_THREADS")
-    if raw is None or raw == "":
-        return os.cpu_count() or 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"SIGNSHAPE_THREADS must be an integer, got {raw!r}") from None
-    return max(1, cap)
 
 
 def _as_data_matrix(data) -> np.ndarray:
@@ -69,24 +50,23 @@ def spatial_sign(x) -> np.ndarray:
     return w / float(np.linalg.norm(w))
 
 
-def _normalize_rows(diff: np.ndarray):
-    """Unit-normalize nonzero rows in place of the spatial sign; zero rows stay zero.
+def _sign_gram(diff: np.ndarray) -> np.ndarray:
+    """Sum of s s^T over the spatial signs s of the rows of ``diff``; zero rows add nothing.
 
     Rows whose squared norm leaves the normal double range are rescaled by
     their largest magnitude first, so signs survive extreme row scales.
     """
     sq = np.einsum("ij,ij->i", diff, diff)
-    good = (sq >= np.finfo(float).tiny) & np.isfinite(sq)
-    out = np.zeros_like(diff)
-    out[good] = diff[good] / np.sqrt(sq[good])[:, None]
-    count = int(np.count_nonzero(good))
-    for i in np.flatnonzero(~good):
+    rescale = ~((sq >= np.finfo(float).tiny) & np.isfinite(sq))
+    norms = np.sqrt(sq)
+    norms[rescale] = np.inf  # those rows divide to zero here and are redone below
+    signs = diff / norms[:, None]
+    for i in np.flatnonzero(rescale):
         scale = np.abs(diff[i]).max()
         if scale > 0.0:
             w = diff[i] / scale
-            out[i] = w / np.sqrt(w @ w)
-            count += 1
-    return out, count
+            signs[i] = w / np.sqrt(w @ w)
+    return signs.T @ signs
 
 
 @dataclass
@@ -203,49 +183,24 @@ def sample_sscm(
             raise ValueError(f"center must have shape ({p},), got {mu.shape}")
         if not np.all(np.isfinite(mu)):
             raise ValueError("center must be finite")
-    signs, _ = _normalize_rows(X - mu)
-    mat = (signs.T @ signs) / n
+    mat = _sign_gram(X - mu) / n
     mat = 0.5 * (mat + mat.T)
     return SscmEstimate(matrix=mat, kind="sscm", n_used=n, center=mu.copy(), median=median)
 
 
-def _kendall_chunk(X: np.ndarray, c0: int, c1: int):
-    """Accumulate sign outer products for pairs (i, j), c0 <= i < c1 <= j - 1."""
-    p = X.shape[1]
-    local = np.zeros((p, p))
-    nonzero = 0
-    for i in range(c0, c1):
-        signs, count = _normalize_rows(X[i + 1 :] - X[i])
-        local += signs.T @ signs
-        nonzero += count
-    return local, nonzero
-
-
-def sample_kendall_tau(data, chunk_rows: int = 512) -> SscmEstimate:
+def sample_kendall_tau(data) -> SscmEstimate:
     """Spatial Kendall's tau matrix: the SSCM of all pairwise differences.
 
-    Averages s(x_i - x_j) s(x_i - x_j)^T over the n(n-1)/2 unordered pairs.
-    Work is split into fixed row chunks that may run on up to
-    ``thread_cap()`` threads; partial sums are reduced in chunk order, so the
-    result is identical for any thread count.
+    Averages s(x_i - x_j) s(x_i - x_j)^T over the n(n-1)/2 unordered pairs in
+    one serial O(n^2 p) loop over i; its only parallelism is that of BLAS.
     """
     X = _as_data_matrix(data)
     n, p = X.shape
     if n < 2:
         raise ValueError("the Kendall's tau matrix needs at least two observations")
-    if chunk_rows < 1:
-        raise ValueError("chunk_rows must be positive")
-    starts = range(0, n - 1, chunk_rows)
-    bounds = [(c0, min(c0 + chunk_rows, n - 1)) for c0 in starts]
-    workers = min(thread_cap(), len(bounds))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda b: _kendall_chunk(X, *b), bounds))
-    else:
-        parts = [_kendall_chunk(X, c0, c1) for c0, c1 in bounds]
     total = np.zeros((p, p))
-    for local, _ in parts:
-        total += local
+    for i in range(n - 1):
+        total += _sign_gram(X[i + 1 :] - X[i])
     n_pairs = n * (n - 1) // 2
     mat = total / n_pairs
     mat = 0.5 * (mat + mat.T)

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import signshape
 from signshape import (
     Spectrum,
     cli,
@@ -16,11 +19,19 @@ from signshape import (
 )
 
 
+# the child interpreter must import the same signshape as this one
+_ENV = dict(os.environ)
+_ENV["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(signshape.__file__).parents[1]), os.environ.get("PYTHONPATH")])
+)
+
+
 def run_cli(*args, **kwargs):
     return subprocess.run(
         [sys.executable, "-m", "signshape", *args],
         capture_output=True,
         text=True,
+        env=_ENV,
         **kwargs,
     )
 
@@ -265,7 +276,7 @@ def test_non_finite_output_exits_one(monkeypatch, capsys, fmt):
     "argv, tol, max_iter",
     [
         (["sscm", "d.csv"], 1e-10, 1000),
-        (["kendall", "d.csv"], 1e-10, 1000),
+        (["kendall", "d.csv", "--tol", "1"], None, None),
         (["simulate", "--lambdas", "1", "--n", "2"], 1e-10, 100),
         (["shape", "d.csv"], 1e-9, 100),
         (["map", "--lambdas", "1"], 1e-9, 100),
@@ -274,6 +285,9 @@ def test_non_finite_output_exits_one(monkeypatch, capsys, fmt):
     ],
 )
 def test_per_command_defaults(argv, tol, max_iter):
+    if tol is None:  # kendall has no iteration, so no --tol, --max-iter or --rel-tol
+        assert cli.main(argv) == 1
+        return
     args = cli.build_parser().parse_args(argv)
     assert (args.tol, args.max_iter, args.rel_tol, args.output) == (tol, max_iter, None, "json")
 

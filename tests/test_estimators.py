@@ -60,6 +60,26 @@ def test_spatial_sign_of_underflowed_scaling_is_zero():
     np.testing.assert_array_equal(spatial_sign(0.5 * np.array([5e-324])), np.zeros(1))
 
 
+def _mixed_scale_rows(rng, n, p, center=None):
+    """Shuffled Gaussian rows: a third scaled by 1e170 and a third by 1e-170
+    (squared norms of their differences over- and underflow), every other row
+    of the rest an exact duplicate of an earlier row, and one row equal to
+    ``center`` (zero by default)."""
+    X = rng.standard_normal((n, p))
+    third = n // 3
+    X[:third] *= 1e170
+    X[third : 2 * third] *= 1e-170
+    dup = np.arange(2 * third, n - 1, 2)
+    X[dup] = X[rng.integers(0, 2 * third, dup.size)]
+    X[-1] = 0.0 if center is None else center
+    return rng.permutation(X)
+
+
+def _sign_outer_sum(diff):
+    signs = np.array([spatial_sign(d) for d in diff])
+    return signs.T @ signs
+
+
 class TestSpatialMedian:
     def test_equilateral_triangle_centroid(self):
         angles = np.array([0.0, 2 * np.pi / 3, 4 * np.pi / 3])
@@ -185,6 +205,15 @@ class TestSampleSscm:
         scaled = sample_sscm(X * scales[:, None], center=mu).matrix
         np.testing.assert_allclose(scaled, base, atol=1e-12)
 
+    def test_matches_per_row_reference_at_extreme_scales(self):
+        rng = np.random.default_rng(26)
+        mu = 1e-170 * rng.standard_normal(4)
+        X = _mixed_scale_rows(rng, 40, 4, center=mu)
+        est = sample_sscm(X, center=mu)
+        expected = _sign_outer_sum(X - mu) / len(X)
+        np.testing.assert_allclose(est.matrix, expected, rtol=0, atol=1e-13)
+        assert abs(np.trace(est.matrix) - 39.0 / 40.0) < 1e-13
+
     def test_p_larger_than_n(self):
         rng = np.random.default_rng(25)
         X = rng.standard_normal((5, 40))
@@ -235,35 +264,12 @@ class TestKendallTau:
             sample_kendall_tau(np.array([[1.0, 2.0]]))
 
     def test_matches_bruteforce_on_random_data(self):
+        # Gaussian data, rows at extreme scales with duplicates, and n beyond
+        # one 512-row block, each against a per-pair spatial_sign reference
         rng = np.random.default_rng(31)
-        X = rng.standard_normal((23, 4))
-        expected = np.zeros((4, 4))
-        for i in range(23):
-            for j in range(i + 1, 23):
-                d = X[i] - X[j]
-                s = d / np.linalg.norm(d)
-                expected += np.outer(s, s)
-        expected /= 23 * 22 / 2
-        est = sample_kendall_tau(X)
-        np.testing.assert_allclose(est.matrix, expected, atol=1e-13)
-
-    def test_chunking_does_not_change_result(self):
-        rng = np.random.default_rng(32)
-        X = rng.standard_normal((40, 3))
-        whole = sample_kendall_tau(X, chunk_rows=512).matrix
-        chopped = sample_kendall_tau(X, chunk_rows=7).matrix
-        np.testing.assert_allclose(chopped, whole, atol=1e-14)
-
-    def test_thread_cap_does_not_change_result(self, monkeypatch):
-        rng = np.random.default_rng(33)
-        X = rng.standard_normal((60, 3))
-        monkeypatch.setenv("SIGNSHAPE_THREADS", "1")
-        serial = sample_kendall_tau(X, chunk_rows=8).matrix
-        monkeypatch.setenv("SIGNSHAPE_THREADS", "4")
-        threaded = sample_kendall_tau(X, chunk_rows=8).matrix
-        np.testing.assert_array_equal(serial, threaded)
-
-    def test_bad_thread_env_is_an_input_error(self, monkeypatch):
-        monkeypatch.setenv("SIGNSHAPE_THREADS", "lots")
-        with pytest.raises(ValueError):
-            sample_kendall_tau(np.eye(3))
+        for X in (rng.standard_normal((23, 4)), _mixed_scale_rows(rng, 40, 4), _mixed_scale_rows(rng, 600, 3)):
+            n = len(X)
+            expected = sum(_sign_outer_sum(X[i + 1 :] - X[i]) for i in range(n - 1))
+            expected /= n * (n - 1) / 2
+            est = sample_kendall_tau(X)
+            np.testing.assert_allclose(est.matrix, expected, rtol=0, atol=1e-13, err_msg=f"n={n}")
