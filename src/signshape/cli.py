@@ -243,6 +243,18 @@ def _cmd_invmap(args):
     return payload, np.asarray(result.spectrum), _OK if result.converged else _NO_CONVERGENCE
 
 
+def _complete_basis(vecs: np.ndarray) -> np.ndarray:
+    """An orthogonal p x p matrix whose leading columns are the orthonormal ``vecs``.
+
+    A shape estimate at n < p carries only the eigenvectors of its support.
+    W needs a full basis but not a particular completion: its fourth moments
+    vanish at zero eigenvalues.
+    """
+    basis, _ = np.linalg.qr(vecs, mode="complete")
+    basis[:, : vecs.shape[1]] = vecs
+    return basis
+
+
 def _cmd_asymcov(args):
     cfg = _quad_cfg(args)
     if (args.data is None) == (args.lambdas is None):
@@ -256,7 +268,7 @@ def _cmd_asymcov(args):
     else:
         est, shape, status = _shape_from_csv(args, cfg)
         spectrum = shape.inversion.spectrum
-        basis = shape.eigenvectors
+        basis = _complete_basis(shape.eigenvectors)
         source = args.data
         n = est.n_used
     cov = sscm_asymptotic_cov(basis, spectrum, cfg)

@@ -3,8 +3,8 @@ sample spatial sign covariance matrix (SSCM) plus its pairwise-difference
 variant, the spatial Kendall's tau matrix.
 
 All functions are pure and safe to call concurrently.  Both matrix
-estimators reduce to one kernel, the sum of s s^T over the spatial signs of
-the rows of a difference matrix.
+estimators reduce to one kernel, the spatial signs S of the rows of a
+difference matrix, and sum s s^T over them as S^T S.
 """
 
 from __future__ import annotations
@@ -50,8 +50,23 @@ def spatial_sign(x) -> np.ndarray:
     return w / float(np.linalg.norm(w))
 
 
-def _sign_gram(diff: np.ndarray) -> np.ndarray:
-    """Sum of s s^T over the spatial signs s of the rows of ``diff``; zero rows add nothing.
+# entries up to half the largest double have finite differences
+_HALF_MAX = np.finfo(float).max / 2
+
+
+def _overflow_safe(*arrays: np.ndarray) -> tuple:
+    """The arrays, halved together when a difference of their entries could overflow.
+
+    Halving is exact above the subnormal range and leaves every spatial sign
+    of a difference unchanged; ordinary inputs are returned as they are.
+    """
+    if max(float(np.abs(a).max()) for a in arrays) <= _HALF_MAX:
+        return arrays
+    return tuple(0.5 * a for a in arrays)
+
+
+def _spatial_signs(diff: np.ndarray) -> np.ndarray:
+    """Spatial signs of the rows of ``diff``, with zero rows mapped to zero.
 
     Rows whose squared norm leaves the normal double range are rescaled by
     their largest magnitude first, so signs survive extreme row scales.
@@ -66,7 +81,7 @@ def _sign_gram(diff: np.ndarray) -> np.ndarray:
         if scale > 0.0:
             w = diff[i] / scale
             signs[i] = w / np.sqrt(w @ w)
-    return signs.T @ signs
+    return signs
 
 
 @dataclass
@@ -90,8 +105,11 @@ def spatial_median(data, tol: float = 1e-10, max_iter: int = 1000) -> SpatialMed
     Damped Weiszfeld iteration with the anchor-point correction: when the
     iterate coincides with data points, the step is shrunk by the multiplicity
     at the anchor and optimality is judged by the subgradient condition there.
-    Initialized at the coordinate-wise median.  On non-convergence the best
-    iterate seen is returned with ``converged=False``.
+    The data are centred once at their coordinate-wise median, where the
+    iteration starts, so its updates round at the spread of the data rather
+    than at their distance from the origin; every returned location adds the
+    median back.  On non-convergence the best iterate seen is returned with
+    ``converged=False``.
     """
     X = _as_data_matrix(data)
     if tol <= 0.0:
@@ -99,7 +117,9 @@ def spatial_median(data, tol: float = 1e-10, max_iter: int = 1000) -> SpatialMed
     if max_iter < 0:
         raise ValueError("max_iter must be non-negative")
     n, _ = X.shape
-    mu = np.median(X, axis=0)
+    origin = np.median(X, axis=0)
+    X = X - origin
+    mu = np.zeros_like(origin)
     best_mu, best_res = mu, np.inf
     iterations = 0
     for iterations in range(max_iter + 1):
@@ -108,7 +128,7 @@ def spatial_median(data, tol: float = 1e-10, max_iter: int = 1000) -> SpatialMed
         anchored = dist == 0.0
         n_anchor = int(np.count_nonzero(anchored))
         if n_anchor == n:
-            return SpatialMedian(mu, True, iterations, 0.0)
+            return SpatialMedian(origin + mu, True, iterations, 0.0)
         w = 1.0 / dist[~anchored]
         pull = w @ diff[~anchored]
         pull_norm = float(np.linalg.norm(pull))
@@ -116,7 +136,7 @@ def spatial_median(data, tol: float = 1e-10, max_iter: int = 1000) -> SpatialMed
         if residual < best_res:
             best_mu, best_res = mu, residual
         if residual <= tol:
-            return SpatialMedian(mu, True, iterations, residual)
+            return SpatialMedian(origin + mu, True, iterations, residual)
         if iterations == max_iter:
             break
         # step by a correction to mu: its rounding scales with the step, not
@@ -128,7 +148,7 @@ def spatial_median(data, tol: float = 1e-10, max_iter: int = 1000) -> SpatialMed
         if np.array_equal(target, mu):
             break  # fixed point at float precision
         mu = target
-    return SpatialMedian(best_mu, best_res <= tol, iterations, best_res)
+    return SpatialMedian(origin + best_mu, best_res <= tol, iterations, best_res)
 
 
 @dataclass
@@ -139,6 +159,12 @@ class SscmEstimate:
     fraction of terms with a nonzero spatial sign, hence is at most one.
     ``center`` is None for the Kendall variant; ``median`` records the
     centering iteration when it was run internally.
+
+    ``signs`` is the n x p matrix S of the spatial signs of the centred rows
+    of a sample SSCM, whose ``matrix`` is S^T S / n, symmetrized; it is None
+    for Kendall's tau and for estimates built by hand.  When n < p the SSCM
+    has rank at most n, and :func:`signshape.sscm_eigensystem` decomposes the
+    n x n Gram matrix S S^T / n instead of ``matrix``.
     """
 
     matrix: np.ndarray
@@ -146,6 +172,7 @@ class SscmEstimate:
     n_used: int
     center: np.ndarray | None
     median: SpatialMedian | None = None
+    signs: np.ndarray | None = None
 
 
 def sample_sscm(
@@ -167,9 +194,9 @@ def sample_sscm(
     Returns
     -------
     SscmEstimate
-        Symmetric non-negative definite matrix with eigenvalues in [0, 1].
-        Observations equal to the center contribute zero, so the trace can
-        fall below one.
+        Symmetric non-negative definite matrix with eigenvalues in [0, 1],
+        together with the spatial signs it is built from.  Observations equal
+        to the center contribute zero, so the trace can fall below one.
     """
     X = _as_data_matrix(data)
     n, p = X.shape
@@ -183,9 +210,13 @@ def sample_sscm(
             raise ValueError(f"center must have shape ({p},), got {mu.shape}")
         if not np.all(np.isfinite(mu)):
             raise ValueError("center must be finite")
-    mat = _sign_gram(X - mu) / n
+    scaled_X, scaled_mu = _overflow_safe(X, mu)
+    signs = _spatial_signs(scaled_X - scaled_mu)
+    mat = signs.T @ signs / n
     mat = 0.5 * (mat + mat.T)
-    return SscmEstimate(matrix=mat, kind="sscm", n_used=n, center=mu.copy(), median=median)
+    return SscmEstimate(
+        matrix=mat, kind="sscm", n_used=n, center=mu.copy(), median=median, signs=signs
+    )
 
 
 def sample_kendall_tau(data) -> SscmEstimate:
@@ -198,9 +229,11 @@ def sample_kendall_tau(data) -> SscmEstimate:
     n, p = X.shape
     if n < 2:
         raise ValueError("the Kendall's tau matrix needs at least two observations")
+    (X,) = _overflow_safe(X)
     total = np.zeros((p, p))
     for i in range(n - 1):
-        total += _sign_gram(X[i + 1 :] - X[i])
+        signs = _spatial_signs(X[i + 1 :] - X[i])
+        total += signs.T @ signs
     n_pairs = n * (n - 1) // 2
     mat = total / n_pairs
     mat = 0.5 * (mat + mat.T)

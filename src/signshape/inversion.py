@@ -127,28 +127,43 @@ def shape_eigenvalues(
     return InversionResult(Spectrum(lam), iterations, resid, resid <= tol)
 
 
-def sscm_eigensystem(matrix) -> tuple[Spectrum, np.ndarray]:
-    """Descending eigenvalues (clamped into the simplex) and eigenvectors.
+def sscm_eigensystem(sscm) -> tuple[Spectrum, np.ndarray]:
+    """Descending eigenvalues (clamped into the simplex) and eigenvectors of an SSCM.
 
-    Accepts a sample SSCM and symmetrizes it.  Eigenvalues within
-    p * eps * (largest eigenvalue) of zero are set to exactly zero, which makes
-    the rank decision at p > n explicit; larger negative eigenvalues are
-    clipped to zero with a warning.  The spectrum is renormalized.
+    Accepts an :class:`SscmEstimate` or a square matrix, which is symmetrized.
+    Eigenvalues within p * eps * (largest eigenvalue) of zero are set to
+    exactly zero, which makes the rank decision at p > n explicit; larger
+    negative eigenvalues are clipped to zero with a warning.  The spectrum is
+    renormalized and has p entries.
+
+    An estimate that carries its n x p spatial signs S with n < p is
+    decomposed through its n x n Gram matrix G = S S^T / n, whose eigenvalues
+    are the nonzero ones of S^T S / n, at O(n^2 p) instead of O(p^3).  The
+    eigenvectors are then the p x r matrix V = S^T U e^(-1/2) / sqrt(n) over
+    the r kept eigenpairs (e, U) of G: orthonormal columns that span the
+    support, and the spectrum is padded with zeros.  Otherwise they are the
+    p x p orthogonal matrix of the dense decomposition.
     """
-    mat = np.asarray(matrix, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {mat.shape}")
-    if not np.all(np.isfinite(mat)):
-        raise ValueError("matrix must be finite")
-    asym = np.abs(mat - mat.T).max()
-    if asym > 1e-8:
-        raise ValueError(f"matrix must be symmetric (asymmetry {asym:.3e})")
-    sym = 0.5 * (mat + mat.T)
-    eigvals, eigvecs = np.linalg.eigh(sym)
+    signs = sscm.signs if isinstance(sscm, SscmEstimate) else None
+    gram = signs is not None and signs.shape[0] < signs.shape[1]
+    if gram:
+        n, p = signs.shape
+        eigvals, vecs = np.linalg.eigh(signs @ signs.T / n)
+    else:
+        mat = np.asarray(sscm.matrix if isinstance(sscm, SscmEstimate) else sscm, dtype=float)
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            raise ValueError(f"matrix must be square, got shape {mat.shape}")
+        if not np.all(np.isfinite(mat)):
+            raise ValueError("matrix must be finite")
+        asym = np.abs(mat - mat.T).max()
+        if asym > 1e-8:
+            raise ValueError(f"matrix must be symmetric (asymmetry {asym:.3e})")
+        p = mat.shape[0]
+        eigvals, vecs = np.linalg.eigh(0.5 * (mat + mat.T))
     eigvals = eigvals[::-1].copy()
-    eigvecs = eigvecs[:, ::-1]
+    vecs = vecs[:, ::-1]
     # numpy's matrix_rank tolerance: anything this small is roundoff, not rank
-    eigvals[np.abs(eigvals) <= eigvals.size * np.finfo(float).eps * eigvals[0]] = 0.0
+    eigvals[np.abs(eigvals) <= p * np.finfo(float).eps * eigvals[0]] = 0.0
     if np.any(eigvals < 0.0):
         n_neg = int(np.count_nonzero(eigvals < 0.0))
         warnings.warn(
@@ -160,7 +175,11 @@ def sscm_eigensystem(matrix) -> tuple[Spectrum, np.ndarray]:
         eigvals = np.clip(eigvals, 0.0, None)
     if not eigvals.sum() > 0.0:
         raise ValueError("matrix has no positive eigenvalues")
-    return Spectrum(eigvals), eigvecs
+    if gram:
+        kept = eigvals[eigvals > 0.0]
+        vecs = signs.T @ (vecs[:, : kept.size] / np.sqrt(n * kept))
+        eigvals = np.concatenate([kept, np.zeros(p - kept.size)])
+    return Spectrum(eigvals), vecs
 
 
 @dataclass
@@ -169,7 +188,10 @@ class ShapeEstimate:
 
     ``sscm_spectrum`` and ``eigenvectors`` are the eigensystem of
     ``source.matrix``, which the shape matrix shares; ``inversion`` records
-    the eigenvalue recovery.
+    the eigenvalue recovery.  ``eigenvectors`` is p x p and orthogonal, except
+    for an estimate with n < p that carries its spatial signs: then it is
+    p x r, and its orthonormal columns span the support, one for each of the
+    r nonzero entries of ``sscm_spectrum``.
     """
 
     matrix: np.ndarray
@@ -187,15 +209,19 @@ def estimate_shape(
 ) -> ShapeEstimate:
     """Consistent shape-matrix estimate built solely from a sample SSCM.
 
-    Eigendecomposes the SSCM, inverts the eigenvalue map, and reassembles
-    with the original eigenvectors.  If the inversion does not converge a
+    Eigendecomposes the SSCM (through the n x n Gram matrix of its spatial
+    signs when n < p, see :func:`sscm_eigensystem`), inverts the eigenvalue
+    map, and reassembles with the eigenvectors of the r nonzero eigenvalues
+    at O(p^2 r).  If the inversion does not converge a
     :class:`ConvergenceError` is raised carrying the partial estimate.
     """
-    spectrum, eigvecs = sscm_eigensystem(sscm.matrix)
+    spectrum, eigvecs = sscm_eigensystem(sscm)
     inversion = shape_eigenvalues(spectrum, tol=tol, max_iter=max_iter, cfg=cfg)
-    lam = inversion.spectrum.values
-    shape = (eigvecs * lam) @ eigvecs.T
-    shape = 0.5 * (shape + shape.T)
+    # zero SSCM eigenvalues map to zero shape eigenvalues
+    lam = inversion.spectrum.values[: np.count_nonzero(spectrum.values)]
+    # numpy forms R R^T as a symmetric rank-k update: exactly symmetric, half the flops
+    root = eigvecs[:, : lam.size] * np.sqrt(lam)
+    shape = root @ root.T
     result = ShapeEstimate(shape, sscm, inversion, spectrum, eigvecs)
     if not inversion.converged:
         raise ConvergenceError(

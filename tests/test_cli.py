@@ -152,6 +152,26 @@ def test_asymcov_from_data(tmp_path):
     assert payload["metadata"]["n"] == 200
 
 
+def test_asymcov_from_wide_data(tmp_path):
+    # p > n: the shape estimate has only the support's eigenvectors, and the
+    # command completes them to an orthogonal basis
+    n, p = 6, 8
+    data = np.random.default_rng(78).standard_normal((n, p)) * np.linspace(2.0, 0.5, p)
+    path = tmp_path / "wide.csv"
+    path.write_text("\n".join(",".join(repr(float(v)) for v in row) for row in data) + "\n")
+    proc = run_cli("asymcov", str(path), "--no-header")
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    vecs = np.asarray(payload["eigenvectors"])
+    assert vecs.shape == (p, p)
+    assert np.abs(vecs.T @ vecs - np.eye(p)).max() < 1e-12
+    w = np.asarray(payload["w"])
+    assert w.shape == (p * p, p * p)
+    np.testing.assert_array_equal(w, w.T)
+    assert np.abs(w @ np.eye(p).ravel()).max() < 1e-12
+    assert np.count_nonzero(payload["lambda"]) <= n - 1
+
+
 def test_asymcov_requires_exactly_one_source(tmp_path):
     assert run_cli("asymcov").returncode == 1
     path = tmp_path / "d.csv"

@@ -149,6 +149,15 @@ class TestSpatialMedian:
         assert med.converged
         assert med.residual_gradient_norm <= 1e-10
 
+    def test_converges_far_from_origin(self):
+        # rounding at |X| = 1e4 once held the residual above the default tol
+        for seed in range(5):
+            X = np.random.default_rng(seed).standard_normal((20000, 5)) + 1e4
+            med = spatial_median(X)
+            assert med.converged, f"seed={seed}"
+            assert med.residual_gradient_norm <= 1e-10
+            assert np.abs(med.location - 1e4).max() < 0.05
+
 
 class TestSampleSscm:
     def test_cross_with_known_center(self):
@@ -214,12 +223,32 @@ class TestSampleSscm:
         np.testing.assert_allclose(est.matrix, expected, rtol=0, atol=1e-13)
         assert abs(np.trace(est.matrix) - 39.0 / 40.0) < 1e-13
 
+    def test_differences_beyond_the_double_range(self):
+        # X - center overflows; halving first keeps every sign
+        X = np.array([[1e308, 0.0], [-1e308, 1.0]])
+        center = np.array([-1e308, 0.0])
+        est = sample_sscm(X, center=center)
+        expected = _sign_outer_sum(0.5 * X - 0.5 * center) / len(X)
+        assert np.all(np.isfinite(est.matrix))
+        np.testing.assert_allclose(est.matrix, expected, rtol=0, atol=1e-13)
+        np.testing.assert_array_equal(est.center, center)
+
     def test_p_larger_than_n(self):
         rng = np.random.default_rng(25)
         X = rng.standard_normal((5, 40))
         est = sample_sscm(X)
         assert est.matrix.shape == (40, 40)
         assert abs(np.trace(est.matrix) - 1.0) < 1e-12
+
+    def test_keeps_its_spatial_signs(self):
+        rng = np.random.default_rng(27)
+        X = rng.standard_normal((6, 9))
+        est = sample_sscm(X)
+        assert est.signs.shape == (6, 9)
+        expected = np.array([spatial_sign(row) for row in X - est.center])
+        np.testing.assert_allclose(est.signs, expected, rtol=0, atol=1e-15)
+        mat = est.signs.T @ est.signs / 6
+        np.testing.assert_array_equal(est.matrix, 0.5 * (mat + mat.T))
 
     def test_rejects_bad_center_shape(self):
         with pytest.raises(ValueError):
@@ -273,3 +302,13 @@ class TestKendallTau:
             expected /= n * (n - 1) / 2
             est = sample_kendall_tau(X)
             np.testing.assert_allclose(est.matrix, expected, rtol=0, atol=1e-13, err_msg=f"n={n}")
+
+    def test_differences_beyond_the_double_range(self):
+        # X[0] - X[1] overflows; halving first keeps every sign
+        X = np.array([[1e308, 0.0], [-1e308, 1.0], [0.0, 0.0]])
+        half = 0.5 * X
+        expected = sum(_sign_outer_sum(half[i + 1 :] - half[i]) for i in range(2)) / 3
+        est = sample_kendall_tau(X)
+        assert est.signs is None
+        assert np.all(np.isfinite(est.matrix))
+        np.testing.assert_allclose(est.matrix, expected, rtol=0, atol=1e-13)

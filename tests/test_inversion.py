@@ -163,11 +163,51 @@ class TestEstimateShape:
         # median-centered signs sum to zero, so the SSCM has rank at most n - 1
         rng = np.random.default_rng(54)
         X = rng.standard_normal((n, p)) * np.linspace(2.0, 0.5, p)
-        shape = estimate_shape(sample_sscm(X))
+        est = sample_sscm(X)
+        shape = estimate_shape(est)
         assert shape.inversion.converged
         # the shape matrix shares the eigenvectors, so its rank is the support size
-        assert np.count_nonzero(shape.inversion.spectrum.values) <= n - 1
+        rank = np.count_nonzero(shape.inversion.spectrum.values)
+        assert rank <= n - 1
         assert abs(np.trace(shape.matrix) - 1.0) < 1e-12
+        np.testing.assert_array_equal(shape.matrix, shape.matrix.T)
+        # the Gram path keeps only the support's eigenvectors, orthonormal
+        vecs = shape.eigenvectors
+        assert vecs.shape == (p, rank)
+        assert np.abs(vecs.T @ vecs - np.eye(rank)).max() < 1e-12
+
+        # without its signs the same SSCM goes through the dense p x p eigh
+        dense = estimate_shape(
+            SscmEstimate(est.matrix, est.kind, est.n_used, est.center, est.median)
+        )
+        assert dense.eigenvectors.shape == (p, p)
+        # same rank, decided at the same positions
+        np.testing.assert_array_equal(
+            shape.sscm_spectrum.values == 0.0, dense.sscm_spectrum.values == 0.0
+        )
+        np.testing.assert_allclose(
+            shape.sscm_spectrum.values, dense.sscm_spectrum.values, rtol=0, atol=1e-12
+        )
+        np.testing.assert_allclose(
+            shape.inversion.spectrum.values, dense.inversion.spectrum.values, rtol=0, atol=1e-12
+        )
+        np.testing.assert_allclose(shape.matrix, dense.matrix, rtol=0, atol=1e-12)
+
+    def test_wide_estimate_never_decomposes_p_by_p(self, monkeypatch):
+        n, p = 30, 120
+        X = np.random.default_rng(55).standard_normal((n, p))
+        est = sample_sscm(X)
+        sizes = []
+        eigh = np.linalg.eigh
+
+        def recording_eigh(a, *args, **kwargs):
+            sizes.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        shape = estimate_shape(est)
+        assert sizes == [(n, n)]
+        assert shape.matrix.shape == (p, p)
 
     def test_failure_carries_partial_result(self):
         est = SscmEstimate(
