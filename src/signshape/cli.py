@@ -21,7 +21,6 @@ codes: 0 success, 1 invalid input, 2 numerical non-convergence.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import warnings
@@ -63,14 +62,61 @@ def _jsonable(obj):
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def _emit(payload: dict, csv_payload, fmt: str) -> None:
-    if fmt == "json":
-        sys.stdout.write(json.dumps(payload, default=_jsonable, allow_nan=False) + "\n")
-        return
-    rows = np.atleast_2d(np.asarray(csv_payload, dtype=float))
-    if not np.all(np.isfinite(rows)):
+def _float_text(values: np.ndarray) -> np.ndarray:
+    """The repr of each entry of a float64 array, as an object array of the same shape.
+
+    repr runs once per distinct double, so writing a structured matrix such
+    as W costs its distinct entries, not all of them.  Doubles are told apart
+    by their bits, so -0.0 and 0.0 keep their own text.
+    """
+    if not np.all(np.isfinite(values)):
         raise ValueError("cannot serialize non-finite values")
-    csv.writer(sys.stdout, lineterminator="\n").writerows(rows.tolist())
+    # ravelled first: the shape of the inverse differs across numpy versions
+    bits, inverse = np.unique(
+        np.ascontiguousarray(values).reshape(-1).view(np.int64), return_inverse=True
+    )
+    text = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)
+    return text[inverse].reshape(values.shape)
+
+
+def _json_parts(obj) -> list:
+    """JSON text of ``obj``: strings, and 1-d or 2-d text arrays for its float64 arrays.
+
+    Dicts are walked to reach the arrays; every other value, and each key,
+    is written by ``json.dumps`` with the separators it uses by default.
+    """
+    if isinstance(obj, dict):
+        parts = ["{"]
+        for k, (key, value) in enumerate(obj.items()):
+            parts.append(f"{', ' if k else ''}{json.dumps(key)}: ")
+            parts += _json_parts(value)
+        return parts + ["}"]
+    if isinstance(obj, np.ndarray) and obj.dtype == np.float64 and obj.ndim in (1, 2):
+        return [_float_text(obj)]
+    return [json.dumps(obj, default=_jsonable, allow_nan=False)]
+
+
+def _emit(payload: dict, csv_payload, fmt: str) -> None:
+    """Write the payload as ``json.dumps`` or ``csv.writer`` would, one write per row.
+
+    Everything is formatted, and checked finite, before the first write.
+    """
+    out = sys.stdout
+    if fmt == "csv":
+        for row in _float_text(np.atleast_2d(np.asarray(csv_payload, dtype=float))):
+            out.write(",".join(row.tolist()) + "\n")
+        return
+    for part in _json_parts(payload):
+        if isinstance(part, str):
+            out.write(part)
+        elif part.ndim == 1:
+            out.write("[" + ", ".join(part.tolist()) + "]")
+        else:
+            out.write("[")
+            for i, row in enumerate(part):
+                out.write((", [" if i else "[") + ", ".join(row.tolist()) + "]")
+            out.write("]")
+    out.write("\n")
 
 
 def _read_csv(path: str, no_header: bool) -> np.ndarray:

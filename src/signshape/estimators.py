@@ -107,9 +107,10 @@ def spatial_median(data, tol: float = 1e-10, max_iter: int = 1000) -> SpatialMed
     at the anchor and optimality is judged by the subgradient condition there.
     The data are centred once at their coordinate-wise median, where the
     iteration starts, so its updates round at the spread of the data rather
-    than at their distance from the origin; every returned location adds the
-    median back.  On non-convergence the best iterate seen is returned with
-    ``converged=False``.
+    than at their distance from the origin.  Centred data far from unit size
+    are also scaled by a power of two to it, which is exact, so they converge
+    as they would at scale one.  Every returned location undoes both.  On
+    non-convergence the best iterate seen is returned with ``converged=False``.
     """
     X = _as_data_matrix(data)
     if tol <= 0.0:
@@ -118,7 +119,20 @@ def spatial_median(data, tol: float = 1e-10, max_iter: int = 1000) -> SpatialMed
         raise ValueError("max_iter must be non-negative")
     n, _ = X.shape
     origin = np.median(X, axis=0)
-    X = X - origin
+    with np.errstate(over="ignore"):
+        centred = X - origin
+    size = float(np.abs(centred).max())
+    exponent = 0
+    if not 2.0**-200 < size < 2.0**200:
+        # squared distances could leave the double range: scale by a power of
+        # two to unit size, exactly (the residual is scale-free), halving the
+        # data first if the centring overflowed
+        halved = int(size == np.inf)
+        centred = np.ldexp(X, -halved) - np.ldexp(origin, -halved)
+        scale = int(np.frexp(np.abs(centred).max())[1])
+        centred = np.ldexp(centred, -scale)
+        exponent = halved + scale
+    X = centred
     mu = np.zeros_like(origin)
     best_mu, best_res = mu, np.inf
     iterations = 0
@@ -128,15 +142,17 @@ def spatial_median(data, tol: float = 1e-10, max_iter: int = 1000) -> SpatialMed
         anchored = dist == 0.0
         n_anchor = int(np.count_nonzero(anchored))
         if n_anchor == n:
-            return SpatialMedian(origin + mu, True, iterations, 0.0)
+            return SpatialMedian(origin + np.ldexp(mu, exponent), True, iterations, 0.0)
         w = 1.0 / dist[~anchored]
         pull = w @ diff[~anchored]
         pull_norm = float(np.linalg.norm(pull))
+        if not np.isfinite(pull_norm):
+            break  # never read as a zero residual, as max(0.0, nan) would be
         residual = max(0.0, pull_norm - n_anchor)
         if residual < best_res:
             best_mu, best_res = mu, residual
         if residual <= tol:
-            return SpatialMedian(origin + mu, True, iterations, residual)
+            return SpatialMedian(origin + np.ldexp(mu, exponent), True, iterations, residual)
         if iterations == max_iter:
             break
         # step by a correction to mu: its rounding scales with the step, not
@@ -148,7 +164,7 @@ def spatial_median(data, tol: float = 1e-10, max_iter: int = 1000) -> SpatialMed
         if np.array_equal(target, mu):
             break  # fixed point at float precision
         mu = target
-    return SpatialMedian(origin + best_mu, best_res <= tol, iterations, best_res)
+    return SpatialMedian(origin + np.ldexp(best_mu, exponent), best_res <= tol, iterations, best_res)
 
 
 @dataclass

@@ -1,3 +1,6 @@
+import contextlib
+import csv
+import io
 import json
 import os
 import subprocess
@@ -6,6 +9,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import signshape
 from signshape import (
@@ -239,7 +245,7 @@ def test_quoted_fields_are_read(tmp_path):
     np.testing.assert_allclose(payload["matrix"], [[0.5, 0.0], [0.0, 0.5]], atol=1e-12)
 
 
-def test_asymcov_output_is_exact():
+def test_asymcov_output_is_exact(tmp_path):
     payload = json.loads(run_cli("asymcov", "--lambdas", "0.5,0.3,0.2").stdout)
     cov = sscm_asymptotic_cov(np.eye(3), [0.5, 0.3, 0.2])
     assert np.array_equal(payload["w"], cov.w)
@@ -247,6 +253,61 @@ def test_asymcov_output_is_exact():
     np.testing.assert_allclose(
         payload["delta"], sscm_eigenvalues([0.5, 0.3, 0.2]).values, rtol=0, atol=1e-15
     )
+    # from data the basis is not the identity
+    data = np.random.default_rng(32).standard_normal((60, 3)) * np.array([2.0, 1.0, 0.5])
+    path = tmp_path / "data.csv"
+    path.write_text("\n".join(",".join(repr(float(v)) for v in row) for row in data) + "\n")
+    shape = estimate_shape(sample_sscm(data, tol=1e-9, max_iter=100))
+    cov = sscm_asymptotic_cov(shape.eigenvectors, shape.inversion.spectrum)
+    assert not np.array_equal(cov.eigenvectors, np.eye(3))
+    payload = json.loads(run_cli("asymcov", str(path), "--no-header").stdout)
+    assert np.array_equal(payload["eigenvectors"], cov.eigenvectors)
+    assert np.array_equal(payload["w"], cov.w)
+    proc = run_cli("asymcov", str(path), "--no-header", "--output", "csv")
+    rows = [[float(cell) for cell in line.split(",")] for line in proc.stdout.splitlines()]
+    assert np.array_equal(rows, cov.w)
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -1e-310, 1e308, -1e308, 1.0, -3.0, 1e16, 2.0**53, 0.1]
+
+
+@st.composite
+def _float_arrays(draw):
+    """1-d and 2-d float64 arrays drawn from a few values, so that most entries repeat."""
+    pool = _EDGE_FLOATS + draw(
+        st.lists(
+            st.floats(allow_nan=False, allow_infinity=False)
+            | st.integers(-(10**6), 10**6).map(float),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    shape = draw(hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=6))
+    return draw(hnp.arrays(np.float64, shape, elements=st.sampled_from(pool)))
+
+
+def _emitted(payload, csv_payload, fmt):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit(payload, csv_payload, fmt)
+    return out.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_float_arrays(), _float_arrays())
+def test_emit_matches_the_standard_writers(first, second):
+    payload = {
+        "command": "x",
+        "w": first,
+        "metadata": {"center": second, "n": 3, "values": [0.5, -0.0], "none": None},
+        "counts": np.arange(3),
+    }
+    # the reference is the writer the CLI used before it formatted each distinct value once
+    expected = json.dumps(payload, default=cli._jsonable, allow_nan=False) + "\n"
+    assert _emitted(payload, first, "json") == expected
+    reference = io.StringIO()
+    csv.writer(reference, lineterminator="\n").writerows(np.atleast_2d(first).tolist())
+    assert _emitted(payload, first, "csv") == reference.getvalue()
 
 
 def test_csv_output_is_exact(tmp_path):

@@ -330,6 +330,11 @@ class TestAsymptoticCov:
         reference = K @ (plain.gamma - np.outer(vec_d, vec_d)) @ K.T
         np.testing.assert_allclose(rotated, reference, atol=1e-12)
         np.testing.assert_array_equal(rotated, rotated.T)
+        # S_n is symmetric, so W is exactly invariant under i <-> j and k <-> l
+        for w in (plain.w, rotated):
+            w4 = w.reshape(p, p, p, p)
+            np.testing.assert_array_equal(w4, w4.transpose(1, 0, 2, 3))
+            np.testing.assert_array_equal(w4, w4.transpose(0, 1, 3, 2))
 
     def test_one_quadrature_per_call(self, monkeypatch):
         calls = []

@@ -158,6 +158,24 @@ class TestSpatialMedian:
             assert med.residual_gradient_norm <= 1e-10
             assert np.abs(med.location - 1e4).max() < 0.05
 
+    @pytest.mark.parametrize(
+        "scale", [1e200, 1e-200, 2.0**600, 2.0**1022], ids=["1e200", "1e-200", "2^600", "2^1022"]
+    )
+    def test_converges_at_extreme_scales(self, scale):
+        # squared distances once overflowed to inf or underflowed to 0, and the
+        # coordinate-wise median passed as converged at iteration 0; at 2^1022
+        # the centring itself overflowed
+        X = np.random.default_rng(0).standard_normal((50, 3))
+        base = spatial_median(X)
+        med = spatial_median(X * scale)
+        assert base.converged and base.iterations > 0
+        assert med.converged
+        assert med.iterations == base.iterations
+        assert med.residual_gradient_norm <= 1e-10
+        np.testing.assert_allclose(med.location / scale, base.location, rtol=0, atol=1e-15)
+        if scale in (2.0**600, 2.0**1022):  # exact scalings: every step scales exactly
+            np.testing.assert_array_equal(med.location, base.location * scale)
+
 
 class TestSampleSscm:
     def test_cross_with_known_center(self):
