@@ -262,6 +262,7 @@ def _cmd_map(args):
             "p": len(spectrum),
             "rel_tol": cfg.rel_tol,
             "step": quad.step,
+            "nodes": quad.nodes,
             "error_estimate": quad.error_estimate,
         },
     }

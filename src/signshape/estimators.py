@@ -99,6 +99,16 @@ class SpatialMedian:
     residual_gradient_norm: float
 
 
+def _pull(X: np.ndarray, mu: np.ndarray) -> tuple:
+    """Sum of the unit vectors from mu to the rows of X not at mu, the sum of
+    their inverse distances, the number of rows at mu, and every distance."""
+    diff = X - mu
+    dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    anchored = dist == 0.0
+    w = 1.0 / dist[~anchored]
+    return w @ diff[~anchored], w, int(np.count_nonzero(anchored)), dist
+
+
 def spatial_median(data, tol: float = 1e-10, max_iter: int = 1000) -> SpatialMedian:
     """Minimize the sum of Euclidean distances to the observations.
 
@@ -109,8 +119,11 @@ def spatial_median(data, tol: float = 1e-10, max_iter: int = 1000) -> SpatialMed
     iteration starts, so its updates round at the spread of the data rather
     than at their distance from the origin.  Centred data far from unit size
     are also scaled by a power of two to it, which is exact, so they converge
-    as they would at scale one.  Every returned location undoes both.  On
-    non-convergence the best iterate seen is returned with ``converged=False``.
+    as they would at scale one.  Every returned location undoes both.  When
+    the iterates stall short of an observation they approach but never hit,
+    that observation is returned, converged, if the subgradient condition
+    holds there.  On non-convergence the best iterate seen is returned with
+    ``converged=False``.
     """
     X = _as_data_matrix(data)
     if tol <= 0.0:
@@ -132,19 +145,13 @@ def spatial_median(data, tol: float = 1e-10, max_iter: int = 1000) -> SpatialMed
         scale = int(np.frexp(np.abs(centred).max())[1])
         centred = np.ldexp(centred, -scale)
         exponent = halved + scale
-    X = centred
     mu = np.zeros_like(origin)
     best_mu, best_res = mu, np.inf
     iterations = 0
     for iterations in range(max_iter + 1):
-        diff = X - mu
-        dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        anchored = dist == 0.0
-        n_anchor = int(np.count_nonzero(anchored))
+        pull, w, n_anchor, dist = _pull(centred, mu)
         if n_anchor == n:
             return SpatialMedian(origin + np.ldexp(mu, exponent), True, iterations, 0.0)
-        w = 1.0 / dist[~anchored]
-        pull = w @ diff[~anchored]
         pull_norm = float(np.linalg.norm(pull))
         if not np.isfinite(pull_norm):
             break  # never read as a zero residual, as max(0.0, nan) would be
@@ -162,7 +169,14 @@ def spatial_median(data, tol: float = 1e-10, max_iter: int = 1000) -> SpatialMed
             shift *= 1.0 - min(1.0, n_anchor / pull_norm)
         target = mu + shift
         if np.array_equal(target, mu):
-            break  # fixed point at float precision
+            # fixed point at float precision, perhaps just short of a data
+            # point that minimizes: judge the nearest one by its subgradient
+            nearest = int(np.argmin(dist))
+            pull, _, n_anchor, _ = _pull(centred, centred[nearest])
+            residual = max(0.0, float(np.linalg.norm(pull)) - n_anchor)
+            if residual <= tol:
+                return SpatialMedian(X[nearest].copy(), True, iterations, residual)
+            break
         mu = target
     return SpatialMedian(origin + np.ldexp(best_mu, exponent), best_res <= tol, iterations, best_res)
 

@@ -109,6 +109,13 @@ def test_byte_identical_reruns():
     assert first.stdout == second.stdout
 
 
+def test_map_reports_the_node_count():
+    payload = json.loads(run_cli("map", "--lambdas", "0.62,0.23,0.15").stdout)
+    _, quad = eigenmoments._sscm_map([0.62, 0.23, 0.15], None)
+    assert payload["metadata"]["nodes"] == quad.nodes > 0
+    assert payload["metadata"]["step"] == quad.step
+
+
 def test_simulate_deterministic_with_seed():
     args = ("simulate", "--lambdas", "0.7,0.3", "--n", "60", "--replicates", "12", "--seed", "5")
     first = run_cli(*args)

@@ -164,6 +164,66 @@ class TestSscmEigenvalues:
         np.testing.assert_array_equal(a.values, b.values)
 
 
+def plain_trapezoid(lam, h=1.0 / 16.0):
+    """Eigenvalues and fourth-moment table by the unwarped trapezoid rule in u = log x.
+
+    Nodes every h from u = -45 to 50 past -log(lam_min), far beyond where
+    either family has mass left; every entry is formed in log space.
+    """
+    lam = np.asarray(lam, dtype=float)
+    lam = lam / lam.sum()
+    pos = lam > 0.0
+    log_v = np.log(lam[pos])
+    u = np.arange(-45.0, 50.0 - log_v.min(), h)
+    log1p_vx = np.logaddexp(0.0, u[:, None] + log_v)  # log(1 + v e^u)
+    w = np.exp(-0.5 * log1p_vx.sum(axis=1))
+    g = np.exp(u[:, None] + log_v - log1p_vx)  # v e^u / (1 + v e^u)
+    delta = np.zeros(lam.size)
+    table = np.zeros((lam.size, lam.size))
+    delta[pos] = 0.5 * h * (g * w[:, None]).sum(axis=0)
+    table[np.ix_(pos, pos)] = 0.25 * h * np.einsum("na,nb,n->ab", g, g, w)
+    table[np.diag_indices_from(table)] *= 3.0
+    return delta, table
+
+
+class TestWarpedQuadrature:
+    @pytest.mark.parametrize(
+        "lam",
+        [
+            [0.9, 0.1],
+            [1.0, 1e-12],
+            [1.0, 1e-300],
+            [0.5, 0.3, 0.2],
+            1e-12 ** (np.arange(3) / 2),
+            [0.4, 0.2, 0.2, 0.2],
+            [0.5, 0.3, 0.2, 0.0],
+            random_spectrum(np.random.default_rng(30), 10),
+            1e-6 ** (np.arange(10) / 9),
+            random_spectrum(np.random.default_rng(31), 100),
+        ],
+        ids=["p2", "p2-1e-12", "p2-1e-300", "p3", "p3-1e-12", "tie", "zero", "p10", "p10-1e-6", "p100"],
+    )
+    def test_matches_a_plain_trapezoid(self, lam):
+        delta, table = plain_trapezoid(lam)
+        out = sscm_eigenvalues(lam).values
+        np.testing.assert_allclose(out, delta, rtol=1e-13, atol=0)
+        # the step is refined relative to each row's eigenvalue integral
+        fourth = sign_fourth_moments(lam)
+        scale = np.where(delta > 0.0, delta, 1.0)[:, None]
+        assert np.all(np.abs(fourth - table) <= 1e-13 * scale)
+
+    def test_node_count_at_large_p(self):
+        rng = np.random.default_rng(32)
+        for _ in range(3):
+            lam = np.sort(rng.dirichlet(np.ones(10_000)))[::-1]
+            _, quad = eigenmoments._sscm_map(lam, None)
+            assert quad.nodes <= 150
+
+    def test_node_count_at_high_eccentricity(self):
+        _, quad = eigenmoments._sscm_map(1e-12 ** (np.arange(3) / 2), None)
+        assert quad.nodes <= 350
+
+
 class TestFourthMoments:
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_equal_spectrum_closed_form(self, p):

@@ -108,6 +108,16 @@ class TestSpatialMedian:
         with pytest.raises(ValueError):
             spatial_median(np.empty((0, 3)))
 
+    @pytest.mark.parametrize("offset", [(0.0, 0.0), (1e3, -7.1)])
+    def test_minimizer_at_a_data_point_the_iterates_never_hit(self, offset):
+        # the unit vectors from the third point to the other three sum to norm
+        # 0.87 <= 1, so it minimizes; the iterates stall 1e-12 short of it
+        X = np.array([[1.7, 0.0], [-1.7, 1.0], [0.0, 0.0], [1.0, -1.0]]) + offset
+        med = spatial_median(X)
+        assert med.converged
+        np.testing.assert_array_equal(med.location, X[2])
+        assert med.residual_gradient_norm <= 1e-10
+
     def test_max_iter_exhaustion_flags_not_converged(self):
         rng = np.random.default_rng(11)
         X = rng.standard_normal((200, 3))
