@@ -383,60 +383,59 @@ def _add_data(sub, nargs=None):
     )
 
 
-def _add_common(sub, tol=1e-9, max_iter=100):
+def _add_iteration(sub, tol=1e-9, max_iter=100):
     sub.add_argument("--tol", type=float, default=tol, help="iteration tolerance")
-    sub.add_argument("--rel-tol", type=float, default=None, help="quadrature relative tolerance")
     sub.add_argument("--max-iter", type=int, default=max_iter, help="iteration cap")
-    _add_output(sub)
 
 
-def _add_output(sub):
-    sub.add_argument("--output", choices=("json", "csv"), default="json")
+def _add_quadrature(sub):
+    sub.add_argument("--rel-tol", type=float, default=None, help="quadrature relative tolerance")
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="signshape", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
 
-    sub = commands.add_parser("sscm", help="sample spatial sign covariance matrix")
-    _add_data(sub)
-    _add_common(sub, tol=1e-10, max_iter=1000)
-    sub.set_defaults(func=_cmd_sscm)
+    def command(name, func, help):
+        sub = commands.add_parser(name, help=help)
+        sub.add_argument("--output", choices=("json", "csv"), default="json")
+        sub.set_defaults(func=func)
+        return sub
 
-    sub = commands.add_parser("kendall", help="spatial Kendall's tau matrix")
+    sub = command("sscm", _cmd_sscm, "sample spatial sign covariance matrix")
     _add_data(sub)
-    _add_output(sub)
-    sub.set_defaults(func=_cmd_kendall)
+    _add_iteration(sub, tol=1e-10, max_iter=1000)
 
-    sub = commands.add_parser("shape", help="shape matrix estimated from the SSCM")
+    sub = command("kendall", _cmd_kendall, "spatial Kendall's tau matrix")
     _add_data(sub)
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_shape)
 
-    sub = commands.add_parser("map", help="shape eigenvalues to SSCM eigenvalues")
+    sub = command("shape", _cmd_shape, "shape matrix estimated from the SSCM")
+    _add_data(sub)
+    _add_iteration(sub)
+    _add_quadrature(sub)
+
+    sub = command("map", _cmd_map, "shape eigenvalues to SSCM eigenvalues")
     sub.add_argument("--lambdas", required=True, help="comma-separated shape eigenvalues")
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_map)
+    _add_quadrature(sub)
 
-    sub = commands.add_parser("invmap", help="SSCM eigenvalues to shape eigenvalues")
+    sub = command("invmap", _cmd_invmap, "SSCM eigenvalues to shape eigenvalues")
     sub.add_argument("--deltas", required=True, help="comma-separated SSCM eigenvalues")
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_invmap)
+    _add_iteration(sub)
+    _add_quadrature(sub)
 
-    sub = commands.add_parser("asymcov", help="asymptotic covariance of the sample SSCM")
+    sub = command("asymcov", _cmd_asymcov, "asymptotic covariance of the sample SSCM")
     _add_data(sub, nargs="?")
     sub.add_argument("--lambdas", default=None, help="comma-separated shape eigenvalues")
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_asymcov)
+    _add_iteration(sub)
+    _add_quadrature(sub)
 
-    sub = commands.add_parser("simulate", help="Monte Carlo sampling distribution of the SSCM")
+    sub = command("simulate", _cmd_simulate, "Monte Carlo sampling distribution of the SSCM")
     sub.add_argument("--lambdas", required=True, help="comma-separated shape eigenvalues")
     sub.add_argument("--n", type=int, required=True, help="observations per replicate")
     sub.add_argument("--replicates", type=int, default=100)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--radial", choices=("chi", "constant", "coupled"), default="chi")
-    _add_common(sub, tol=1e-10)
-    sub.set_defaults(func=_cmd_simulate)
+    sub.add_argument("--tol", type=float, default=1e-10, help="spatial median tolerance")
 
     sub = commands.add_parser("pin-fixtures", help="regenerate Monte Carlo oracle constants")
     sub.add_argument("--draws", type=int, default=10_000_000)

@@ -312,15 +312,25 @@ def _pairings(basis: np.ndarray, cross: np.ndarray, direct: np.ndarray) -> np.nd
     """V direct V^T + G[i,k,j,l] + G[i,l,j,k], G = V cross V^T, V = [vec(o_a o_a^T)], in O(p^5).
 
     Sign-flip symmetry gives E[s_a s_b s_c s_d] = d_ab d_cd C_ac + (d_ac d_bd + d_ad d_bc) C_ab,
-    so with direct = cross this is the sign moment matrix in basis O.
+    so with direct = cross this is the sign moment matrix in basis O.  Built on the p(p+1)/2
+    sorted index pairs, symmetrized there and gathered out, the result is exactly symmetric and
+    exactly invariant under i <-> j and k <-> l, as every term is in exact arithmetic.
     """
     p = basis.shape[0]
-    vecs = np.einsum("ia,ja->ija", basis, basis).reshape(p * p, p)
-    g = (vecs @ cross @ vecs.T).reshape(p, p, p, p)
-    out = np.add(g.transpose(0, 2, 1, 3), g.transpose(0, 2, 3, 1), order="C").reshape(p * p, p * p)
-    del g  # freed before the direct term's p^4 temporary
-    out += vecs @ direct @ vecs.T
-    return out
+    i, j = np.triu_indices(p)
+    n = i.size
+    pair = np.empty((p, p), dtype=np.intp)  # sorted-pair index of (a, b)
+    pair[i, j] = pair[j, i] = np.arange(n)
+    vecs = basis[i] * basis[j]
+    g = (vecs @ cross @ vecs.T).ravel()
+    half = g.take(pair[i][:, i] * n + pair[j][:, j])
+    half += g.take(pair[i][:, j] * n + pair[j][:, i])
+    del g  # freed before the p^4 expansion
+    half += vecs @ direct @ vecs.T
+    half += half.T
+    half *= 0.5
+    index = pair.ravel()
+    return half.take(index, axis=1).take(index, axis=0)
 
 
 def sign_fourth_moments(shape_spectrum, cfg: QuadratureConfig | None = None) -> np.ndarray:
@@ -355,8 +365,9 @@ class AsymptoticCov:
     matrix in the eigenbasis, ``eigenvectors`` the orthogonal matrix O
     that carries gamma into the data coordinates, and ``sscm_spectrum`` the
     population SSCM eigenvalues W is centred with, from the same quadrature.
-    ``w`` is exactly symmetric and, as S_n is, exactly invariant under i <-> j
-    and under k <-> l in its entry ((i, j), (k, l)).
+    ``w`` and ``gamma`` are exactly symmetric and, as S_n is, exactly
+    invariant under i <-> j and under k <-> l in their entry ((i, j), (k, l)):
+    both are gathered from one matrix over the sorted index pairs.
     """
 
     gamma: np.ndarray
@@ -391,21 +402,6 @@ def sscm_asymptotic_cov(
     gamma = _pairings(np.eye(p), cross, cross)
     # vec(O D O^T) = V delta, so the centering joins the direct term
     w = _pairings(basis, cross, cross - np.outer(delta, delta))
-    w += w.T  # exactly symmetric: both halves add the same two numbers
-    w *= 0.5
-    # S_n is symmetric, so W = K W = W K (K the commutation matrix): entry
-    # ((i, j), (k, l)) is that of the index pairs sorted.  Each sorted row
-    # gathers its sorted columns and is copied onto its transposed pair, so W
-    # stays exactly symmetric.  One p^2 buffer serves every row: numpy's own
-    # copies of overlapping slices raised peak RSS by ~10 MB in the spectra benchmark.
-    idx = np.arange(p)
-    sorted_pair = (np.minimum.outer(idx, idx) * p + np.maximum.outer(idx, idx)).ravel()
-    row = np.empty(p * p)
-    for i in range(p):
-        for j in range(i, p):
-            np.take(w[i * p + j], sorted_pair, out=row)
-            w[i * p + j] = row
-            w[j * p + i] = row
     return AsymptoticCov(
         gamma=gamma, w=w, eigenvectors=basis.copy(), sscm_spectrum=_descending(delta)
     )

@@ -191,7 +191,7 @@ class SscmEstimate:
     centering iteration when it was run internally.
 
     ``signs`` is the n x p matrix S of the spatial signs of the centred rows
-    of a sample SSCM, whose ``matrix`` is S^T S / n, symmetrized; it is None
+    of a sample SSCM, whose ``matrix`` is S^T S / n; it is None
     for Kendall's tau and for estimates built by hand.  When n < p the SSCM
     has rank at most n, and :func:`signshape.sscm_eigensystem` decomposes the
     n x n Gram matrix S S^T / n instead of ``matrix``.
@@ -242,8 +242,8 @@ def sample_sscm(
             raise ValueError("center must be finite")
     scaled_X, scaled_mu = _overflow_safe(X, mu)
     signs = _spatial_signs(scaled_X - scaled_mu)
+    # numpy forms S^T S as a symmetric rank-k update: exactly symmetric as it is
     mat = signs.T @ signs / n
-    mat = 0.5 * (mat + mat.T)
     return SscmEstimate(
         matrix=mat, kind="sscm", n_used=n, center=mu.copy(), median=median, signs=signs
     )
@@ -266,5 +266,4 @@ def sample_kendall_tau(data) -> SscmEstimate:
         total += signs.T @ signs
     n_pairs = n * (n - 1) // 2
     mat = total / n_pairs
-    mat = 0.5 * (mat + mat.T)
     return SscmEstimate(matrix=mat, kind="kendall_tau", n_used=n, center=None)

@@ -364,20 +364,25 @@ def test_non_finite_output_exits_one(monkeypatch, capsys, fmt):
     "argv, tol, max_iter",
     [
         (["sscm", "d.csv"], 1e-10, 1000),
-        (["kendall", "d.csv", "--tol", "1"], None, None),
-        (["simulate", "--lambdas", "1", "--n", "2"], 1e-10, 100),
+        (["kendall", "d.csv"], None, None),
+        (["simulate", "--lambdas", "1", "--n", "2"], 1e-10, None),
         (["shape", "d.csv"], 1e-9, 100),
-        (["map", "--lambdas", "1"], 1e-9, 100),
+        (["map", "--lambdas", "1"], None, None),
         (["invmap", "--deltas", "1"], 1e-9, 100),
         (["asymcov", "--lambdas", "1"], 1e-9, 100),
     ],
 )
 def test_per_command_defaults(argv, tol, max_iter):
-    if tol is None:  # kendall has no iteration, so no --tol, --max-iter or --rel-tol
-        assert cli.main(argv) == 1
-        return
-    args = cli.build_parser().parse_args(argv)
-    assert (args.tol, args.max_iter, args.rel_tol, args.output) == (tol, max_iter, None, "json")
+    # each command takes only the flags it reads (None marks one it lacks)
+    # and exits 1 on the others
+    defaults = {k: v for k, v in {"tol": tol, "max_iter": max_iter}.items() if v is not None}
+    if argv[0] in ("shape", "map", "invmap", "asymcov"):
+        defaults["rel_tol"] = None
+    args = vars(cli.build_parser().parse_args(argv))
+    assert {k: args[k] for k in ("tol", "max_iter", "rel_tol") if k in args} == defaults
+    assert args["output"] == "json"
+    for dest in {"tol", "max_iter", "rel_tol"} - defaults.keys():
+        assert cli.main(argv + ["--" + dest.replace("_", "-"), "1"]) == 1
 
 
 def test_invalid_spectrum_exits_one():

@@ -367,14 +367,16 @@ class TestAsymptoticCov:
     @pytest.mark.parametrize(
         "p, lam",
         [
+            (1, None),
             (3, None),
             (6, None),
             (10, None),
+            (20, None),
             (6, [0.25, 0.25, 0.2, 0.2, 0.05, 0.05]),
             (5, [0.4, 0.3, 0.2, 0.1, 0.0]),
             (3, [1.0, 0.0, 0.0]),
         ],
-        ids=["3", "6", "10", "tie", "zero", "single-axis"],
+        ids=["1", "3", "6", "10", "20", "tie", "zero", "single-axis"],
     )
     def test_rotation_conjugates_the_covariance(self, p, lam):
         rng = np.random.default_rng(19)
@@ -390,8 +392,8 @@ class TestAsymptoticCov:
         reference = K @ (plain.gamma - np.outer(vec_d, vec_d)) @ K.T
         np.testing.assert_allclose(rotated, reference, atol=1e-12)
         np.testing.assert_array_equal(rotated, rotated.T)
-        # S_n is symmetric, so W is exactly invariant under i <-> j and k <-> l
-        for w in (plain.w, rotated):
+        # S_n is symmetric, so W and gamma are exactly invariant under i <-> j and k <-> l
+        for w in (plain.w, rotated, plain.gamma):
             w4 = w.reshape(p, p, p, p)
             np.testing.assert_array_equal(w4, w4.transpose(1, 0, 2, 3))
             np.testing.assert_array_equal(w4, w4.transpose(0, 1, 3, 2))
