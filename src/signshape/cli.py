@@ -236,6 +236,7 @@ def _cmd_shape(args):
         "converged": bool(inv.converged),
         "iterations": inv.iterations,
         "residual": inv.residual,
+        "relative_residual": inv.relative_residual,
         "sscm": est.matrix,
         "metadata": {
             "n": est.n_used,
@@ -280,6 +281,7 @@ def _cmd_invmap(args):
         "converged": bool(result.converged),
         "iterations": result.iterations,
         "residual": result.residual,
+        "relative_residual": result.relative_residual,
         "metadata": {
             "p": len(spectrum),
             "tol": args.tol,
@@ -383,8 +385,12 @@ def _add_data(sub, nargs=None):
     )
 
 
-def _add_iteration(sub, tol=1e-9, max_iter=100):
-    sub.add_argument("--tol", type=float, default=tol, help="iteration tolerance")
+_MEDIAN_TOL = "spatial median gradient tolerance"
+_INVERSION_TOL = "Newton inversion tolerance on max |delta(lambda) / delta - 1|"
+
+
+def _add_iteration(sub, tol=1e-9, max_iter=100, help=f"{_MEDIAN_TOL}; {_INVERSION_TOL}"):
+    sub.add_argument("--tol", type=float, default=tol, help=help)
     sub.add_argument("--max-iter", type=int, default=max_iter, help="iteration cap")
 
 
@@ -404,7 +410,7 @@ def build_parser() -> _Parser:
 
     sub = command("sscm", _cmd_sscm, "sample spatial sign covariance matrix")
     _add_data(sub)
-    _add_iteration(sub, tol=1e-10, max_iter=1000)
+    _add_iteration(sub, tol=1e-10, max_iter=1000, help=_MEDIAN_TOL)
 
     sub = command("kendall", _cmd_kendall, "spatial Kendall's tau matrix")
     _add_data(sub)
@@ -420,7 +426,7 @@ def build_parser() -> _Parser:
 
     sub = command("invmap", _cmd_invmap, "SSCM eigenvalues to shape eigenvalues")
     sub.add_argument("--deltas", required=True, help="comma-separated SSCM eigenvalues")
-    _add_iteration(sub)
+    _add_iteration(sub, help=_INVERSION_TOL)
     _add_quadrature(sub)
 
     sub = command("asymcov", _cmd_asymcov, "asymptotic covariance of the sample SSCM")
@@ -435,7 +441,7 @@ def build_parser() -> _Parser:
     sub.add_argument("--replicates", type=int, default=100)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--radial", choices=("chi", "constant", "coupled"), default="chi")
-    sub.add_argument("--tol", type=float, default=1e-10, help="spatial median tolerance")
+    sub.add_argument("--tol", type=float, default=1e-10, help=_MEDIAN_TOL)
 
     sub = commands.add_parser("pin-fixtures", help="regenerate Monte Carlo oracle constants")
     sub.add_argument("--draws", type=int, default=10_000_000)

@@ -120,10 +120,10 @@ def spatial_median(data, tol: float = 1e-10, max_iter: int = 1000) -> SpatialMed
     than at their distance from the origin.  Centred data far from unit size
     are also scaled by a power of two to it, which is exact, so they converge
     as they would at scale one.  Every returned location undoes both.  When
-    the iterates stall short of an observation they approach but never hit,
-    that observation is returned, converged, if the subgradient condition
-    holds there.  On non-convergence the best iterate seen is returned with
-    ``converged=False``.
+    the iterates close in on an observation faster than the residual falls,
+    or stall short of it, that observation is returned, converged, if the
+    subgradient condition holds there.  On non-convergence the best iterate
+    seen is returned with ``converged=False``.
     """
     X = _as_data_matrix(data)
     if tol <= 0.0:
@@ -147,6 +147,7 @@ def spatial_median(data, tol: float = 1e-10, max_iter: int = 1000) -> SpatialMed
         exponent = halved + scale
     mu = np.zeros_like(origin)
     best_mu, best_res = mu, np.inf
+    near, near_dist, last_res = -1, np.inf, np.inf
     iterations = 0
     for iterations in range(max_iter + 1):
         pull, w, n_anchor, dist = _pull(centred, mu)
@@ -168,15 +169,20 @@ def spatial_median(data, tol: float = 1e-10, max_iter: int = 1000) -> SpatialMed
         if n_anchor and pull_norm > 0.0:
             shift *= 1.0 - min(1.0, n_anchor / pull_norm)
         target = mu + shift
-        if np.array_equal(target, mu):
-            # fixed point at float precision, perhaps just short of a data
-            # point that minimizes: judge the nearest one by its subgradient
-            nearest = int(np.argmin(dist))
-            pull, _, n_anchor, _ = _pull(centred, centred[nearest])
-            residual = max(0.0, float(np.linalg.norm(pull)) - n_anchor)
-            if residual <= tol:
-                return SpatialMedian(X[nearest].copy(), True, iterations, residual)
-            break
+        stalled = np.array_equal(target, mu)
+        nearest = int(np.argmin(dist))
+        # toward a data point that minimizes, the iterates close in only
+        # linearly while the residual levels off, and stall just short of it
+        # at float precision: judge the point by its subgradient as soon as
+        # the distance to it shrinks by a larger factor than the residual
+        if stalled or (nearest == near and dist[nearest] * last_res < near_dist * residual):
+            anchor_pull, _, at_anchor, _ = _pull(centred, centred[nearest])
+            anchor_res = max(0.0, float(np.linalg.norm(anchor_pull)) - at_anchor)
+            if anchor_res <= tol:
+                return SpatialMedian(X[nearest].copy(), True, iterations, anchor_res)
+            if stalled:
+                break
+        near, near_dist, last_res = nearest, dist[nearest], residual
         mu = target
     return SpatialMedian(origin + np.ldexp(best_mu, exponent), best_res <= tol, iterations, best_res)
 

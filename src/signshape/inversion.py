@@ -1,16 +1,16 @@
 """Inverse eigenvalue map: recover shape-matrix eigenvalues from SSCM eigenvalues.
 
-The forward map is injective on the ordered simplex, so the inverse is
-computed by a damped Newton iteration over the distinct nonzero values, with
-the smallest value eliminated through the unit-sum constraint.  The Jacobian
-comes from differentiating the moment integrals: writing d for the forward
-map and q for the fourth-moment table,
+The forward map is injective on the ordered simplex, so the inverse is a
+damped Newton iteration on log delta(theta) = log d over theta = log v, the
+distinct nonzero values with multiplicities m.  With C the cross table of the
+same quadrature, J = d delta / d theta = diag(delta - 2 diag C) - C diag(m)
+has right null vector 1 (scale invariance) and left null vector m (unit sum);
+so diag(1/delta) J has m * delta on the left, and one regular bordered solve
 
-    d d_i / d lam_j = -q_ij / lam_j          (i != j)
-    d d_i / d lam_i = (d_i - q_ii) / lam_i
+    (diag(1/delta) J + (m * delta) 1^T) s = log d - log delta
 
-and one quadrature gives both d and q on shared nodes, so every evaluated
-candidate carries the Jacobian for the next step.
+gives the step up to a shift along 1, which renormalizing v exp(s) to
+m^T v = 1 removes.  The stop is the relative residual max |delta / d - 1|.
 """
 
 from __future__ import annotations
@@ -53,12 +53,14 @@ class InversionResult:
     """Recovered shape spectrum with iteration diagnostics.
 
     ``residual`` is the sup-norm of (forward map of ``spectrum``) minus the
-    target; it is at most the requested tolerance when ``converged`` is true.
+    target and ``relative_residual`` the largest |forward / target - 1| over
+    nonzero targets; both are at most the tolerance when ``converged`` is true.
     """
 
     spectrum: Spectrum
     iterations: int
     residual: float
+    relative_residual: float
     converged: bool
 
 
@@ -72,9 +74,9 @@ def shape_eigenvalues(
 
     Zero target entries are fixed to zero structurally and equal targets
     yield exactly equal results (the reduced problem runs over distinct
-    values only).  Iterates are kept inside the ordered simplex by step
-    halving and re-sorting.  On failure the best iterate found is returned
-    with ``converged=False``.
+    values only).  A step is halved until its candidate is strictly
+    descending and lowers the relative residual.  On failure the best
+    iterate found is returned with ``converged=False``.
     """
     cfg = cfg or DEFAULT_QUADRATURE
     if tol <= 0.0:
@@ -88,43 +90,40 @@ def shape_eigenvalues(
     dvals, mults, inv_nz = _grouped(tvals[support])
     k = dvals.size
 
-    v = dvals.copy()
+    # delta ~ lam (1 - 2 lam + 2 |lam|^2) near the sphere, so start at lam ~ d exp(2 d)
+    v = dvals * np.exp(2.0 * dvals)
+    v /= mults @ v
     quad = _moments(v, mults, cfg, cross=True)
-    resid = float(np.abs(quad.values - dvals).max())
+    rel = float(np.abs(quad.values / dvals - 1.0).max())
     iterations = 0
     # a single distinct value is its own preimage
-    while k > 1 and resid > tol and iterations < max_iter:
+    while k > 1 and rel > tol and iterations < max_iter:
         iterations += 1
-        cross_diag = np.diag(quad.cross)
-        grad = -(quad.cross * (mults[None, :] / v[None, :]))
-        grad[np.diag_indices(k)] = (quad.values - 3.0 * cross_diag - (mults - 1.0) * cross_diag) / v
-        # eliminate the last value via the unit-sum constraint
-        jac = grad[:-1, :-1] - np.outer(grad[:-1, -1], mults[:-1] / mults[-1])
+        # d delta / d log v: null on the right by scale invariance, on the left by the unit sum
+        jac = np.diag(quad.values - 2.0 * np.diag(quad.cross)) - quad.cross * mults
+        bordered = jac / quad.values[:, None] + (mults * quad.values)[:, None]
         try:
-            step = np.linalg.solve(jac, -(quad.values - dvals)[:-1])
+            step = np.linalg.solve(bordered, np.log(dvals / quad.values))
         except np.linalg.LinAlgError:
             break
-        accepted = False
         alpha = 1.0
         while alpha >= 2.0**-40:
-            head = v[:-1] + alpha * step
-            tail = (1.0 - mults[:-1] @ head) / mults[-1]
-            candidate = np.append(head, tail)
-            if np.all(candidate > 0.0):
-                candidate = np.sort(candidate)[::-1]
+            candidate = v * np.exp(alpha * step)
+            candidate /= mults @ candidate
+            if np.all(np.diff(candidate, append=0.0) < 0.0):
                 # the candidate's cross table is the next Jacobian if it is accepted
                 cand = _moments(candidate, mults, cfg, cross=True)
-                cand_resid = float(np.abs(cand.values - dvals).max())
-                if cand_resid < resid:
-                    v, quad, resid = candidate, cand, cand_resid
-                    accepted = True
+                cand_rel = float(np.abs(cand.values / dvals - 1.0).max())
+                if cand_rel < rel:
+                    v, quad, rel = candidate, cand, cand_rel
                     break
             alpha *= 0.5
-        if not accepted:
-            break
+        else:
+            break  # no step length lowers the residual
     lam = np.zeros(p)
     lam[support] = v[inv_nz]
-    return InversionResult(Spectrum(lam), iterations, resid, resid <= tol)
+    resid = float(np.abs(quad.values - dvals).max())
+    return InversionResult(Spectrum(lam), iterations, resid, rel, rel <= tol)
 
 
 def sscm_eigensystem(sscm) -> tuple[Spectrum, np.ndarray]:
@@ -225,8 +224,8 @@ def estimate_shape(
     result = ShapeEstimate(shape, sscm, inversion, spectrum, eigvecs)
     if not inversion.converged:
         raise ConvergenceError(
-            f"eigenvalue inversion stalled at residual {inversion.residual:.3e} "
-            f"after {inversion.iterations} iterations",
+            f"eigenvalue inversion stalled at relative residual {inversion.relative_residual:.3e} "
+            f"(absolute {inversion.residual:.3e}) after {inversion.iterations} iterations",
             result=result,
         )
     return result

@@ -71,6 +71,8 @@ def test_map_invmap_round_trip():
         run_cli("invmap", "--deltas", ",".join(repr(v) for v in forward["delta"])).stdout
     )
     np.testing.assert_allclose(back["lambda"], [0.5, 0.3, 0.2], atol=1e-8)
+    # the stop is relative, and the targets are at most one
+    assert back["residual"] <= back["relative_residual"] <= 1e-9
 
 
 def test_sscm_on_cross_dataset(cross_csv):
@@ -420,3 +422,4 @@ def test_shape_command_matches_library(cross_csv):
     est = sample_sscm(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]))
     expected = estimate_shape(est)
     np.testing.assert_allclose(payload["matrix"], expected.matrix, atol=1e-14)
+    assert payload["relative_residual"] == expected.inversion.relative_residual

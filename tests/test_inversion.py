@@ -30,22 +30,26 @@ class TestShapeEigenvalues:
 
     def test_round_trip_random_spectra(self):
         rng = np.random.default_rng(41)
-        for p in (2, 3, 5, 10):
-            for _ in range(5):
-                lam = random_spectrum(rng, p)
-                forward = sscm_eigenvalues(lam)
-                res = shape_eigenvalues(forward)
-                assert res.converged
-                assert np.abs(res.spectrum.values - lam).max() < 1e-8
+        spectra = [random_spectrum(rng, p) for p in (2, 3, 5, 10) for _ in range(5)]
+        # eccentric draws: largest over smallest eigenvalue 3e21 to 2e56 at p = 30, 8e12 at p = 1000
+        for seed in range(5):
+            lam = np.random.default_rng(seed).dirichlet(np.full(30, 0.05))
+            spectra.append(np.sort(lam[lam > 0.0])[::-1])
+        spectra.append(np.sort(np.random.default_rng(7).dirichlet(np.full(1000, 0.2)))[::-1])
+        for lam in spectra:
+            lam = lam / lam.sum()
+            res = shape_eigenvalues(sscm_eigenvalues(lam))
+            assert res.converged
+            assert np.abs(res.spectrum.values / lam - 1.0).max() <= 1e-8
 
     @pytest.mark.parametrize("p", [2, 3, 5])
-    @pytest.mark.parametrize("ratio", [1e-10, 1e-12])
+    @pytest.mark.parametrize("ratio", [1e-10, 1e-12, 1e-200, 1e-300])
     def test_round_trip_geometric_spectra(self, p, ratio):
         lam = ratio ** (np.arange(p) / (p - 1))
         lam /= lam.sum()
         res = shape_eigenvalues(sscm_eigenvalues(lam))
         assert res.converged
-        assert np.abs(res.spectrum.values - lam).max() < 1e-8
+        assert np.abs(res.spectrum.values / lam - 1.0).max() <= 1e-8
 
     def test_near_boundary_target(self):
         target = np.array([1.0 - 1e-6, 1e-6])
