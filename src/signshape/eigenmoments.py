@@ -12,7 +12,10 @@ g_i = lam_i x / (1 + lam_i x) and w = prod_k (1 + lam_k x)^{-1/2},
 for i != j (E[s_i^4] is three times the i = j integral).  The integrands are
 analytic in |Im u| < pi and decay exponentially at both ends, so one
 trapezoid rule on shared nodes converges like exp(-2 pi^2 / h) for both
-families (Trefethen & Weideman, SIAM Review 2014).  The nodes are evenly
+families (Trefethen & Weideman, SIAM Review 2014).  Each halving of h thus
+squares the error, so the rule estimates a level's error from the last two
+gaps between levels, as is usual for double-exponential rules (Bailey,
+Jeyabalan & Li, 2005), and most spectra stop at h = 1/4.  The nodes are evenly
 spaced in t, not in u: u = t - exp(A - t) with A = -4 is the identity right
 of A + 37 to double precision and squeezes the left tail u in [log eps, A],
 where every integrand is nearly v e^u, into about 3.5 units of t
@@ -48,6 +51,8 @@ __all__ = [
 _LOG_EPS = math.log(np.finfo(float).eps)
 _LOG_MAX = math.log(np.finfo(float).max)
 _TINY = np.finfo(float).tiny
+# the least error estimate a level reports: the gaps cannot resolve rounding below it
+_ROUNDING = 4.0 * np.finfo(float).eps
 # the first step is 1 in t; each halving doubles the nodes
 _MAX_HALVINGS = 6
 # the warp u = t - exp(_WARP - t) of the nodes; u(_T0) = log(eps) - log(_WARP - log(eps))
@@ -200,9 +205,20 @@ def _moments(v: np.ndarray, m: np.ndarray, cfg: QuadratureConfig, cross: bool = 
     1/2 sum_i m_i g_i w = -w', the mass of eigenvalue i beyond a node is at
     most w there over m_i, and ratio shrinkage gives m_i delta_i >= v_min /
     (p v_max); the last node is the first, on a scan of step 1 in t, where w
-    falls below eps times that.  The step starts at 1 and is halved on nested
-    nodes until two results agree to ``cfg.rel_tol``: every integral relative
-    to its row's eigenvalue integral int g_a w du.
+    falls below eps times that.
+
+    The step starts at 1 and is halved on nested nodes.  Let D_k be the gap
+    between the results at h and h/2, the largest over all integrals, each
+    relative to its row's eigenvalue integral int g_a w du, and D_{k-1} the
+    gap one halving back.  Level h/2 is accepted when D_k <= ``cfg.rel_tol``,
+    or when D_k < D_{k-1} and max(D_k^2 / D_{k-1}, 4 eps) <= ``cfg.rel_tol``.
+    An error exp(-c/h) becomes exp(-2c/h) at h/2, so once the gaps shrink the
+    next one shrinks by their ratio D_k / D_{k-1} or more: D_k^2 / D_{k-1}
+    errs high as an estimate of the error at h/2, and 4 eps is rounding the
+    gaps cannot resolve.  That value, or D_k while the gaps do not shrink, is
+    ``error_estimate``, and the ``residual`` of the QuadratureError raised if
+    _MAX_HALVINGS halvings do not reach the tolerance.  The second test needs
+    two gaps, so it stops at h = 1/4 at the earliest.
 
     The warp is entire and increasing, and the singularities of the
     integrands sit at Re u = -log v_k >= 0, Im u = +-pi, where the warp
@@ -225,19 +241,26 @@ def _moments(v: np.ndarray, m: np.ndarray, cfg: QuadratureConfig, cross: bool = 
     h = 1.0
     # the h = 1 level is the scan up to its last node, log weights and all
     sums = _node_sums(scan_u[: span + 1], scan_jac[: span + 1], v, m, cross, log_w[: span + 1])
+    fine = h * sums
+    previous = 0.0  # the gap one halving back; none before the first
     for _ in range(_MAX_HALVINGS):
-        coarse = h * sums
         mid_u, mid_jac = _warp(_T0 + h * (np.arange(span / h) + 0.5))
         nodes += mid_u.size
-        sums = sums + _node_sums(mid_u, mid_jac, v, m, cross)
+        sums += _node_sums(mid_u, mid_jac, v, m, cross)
         h *= 0.5
-        error = float(np.max(np.abs(h * sums - coarse) / np.maximum(h * sums[:, :1], _TINY)))
-        if error <= cfg.rel_tol:
+        fine, coarse = h * sums, fine
+        # coarse is not read again, so its buffer takes |fine - coarse|
+        diff = np.abs(np.subtract(fine, coarse, out=coarse), out=coarse)
+        gap = float(np.max(diff.max(axis=1) / np.maximum(fine[:, 0], _TINY)))
+        # once the gaps shrink, the next shrinks by their ratio or more
+        error = max(gap * gap / previous, _ROUNDING) if gap < previous else gap
+        if gap <= cfg.rel_tol or error <= cfg.rel_tol:
             break
+        previous = gap
     else:
         raise QuadratureError(
-            f"trapezoid results at steps {2.0 * h:g} and {h:g} still differ by "
-            f"{error:.3e} relative (rel_tol {cfg.rel_tol:.3e})",
+            f"trapezoid result at step {h:g} has estimated error {error:.3e} relative "
+            f"(rel_tol {cfg.rel_tol:.3e})",
             residual=error,
         )
     values = 0.5 * h * sums[:, 0]
@@ -301,6 +324,10 @@ def _sign_moments(lam: Spectrum, cfg: QuadratureConfig) -> tuple[np.ndarray, np.
     if nonzero.sum() == 1 and counts[0] == 1.0:
         # all mass on one axis: the sign concentrates there and s_1^4 = 1
         delta[0], cross[0, 0] = 1.0, 1.0 / 3.0
+    elif vals.size == lam.p and nonzero.all():
+        # distinct nonzero entries, already descending: the quadrature is per entry
+        quad = _moments(vals, counts, cfg, cross=True)
+        return quad.values, quad.cross
     else:
         quad = _moments(vals[nonzero], counts[nonzero], cfg, cross=True)
         delta[nonzero] = quad.values
@@ -333,6 +360,24 @@ def _pairings(basis: np.ndarray, cross: np.ndarray, direct: np.ndarray) -> np.nd
     return half.take(index, axis=1).take(index, axis=0)
 
 
+def _gamma(cross: np.ndarray) -> np.ndarray:
+    """The sign moment matrix in the eigenbasis, scattered from the cross table.
+
+    Sign-flip symmetry gives E[s_i s_j s_k s_l] = d_ij d_kl C_ik + (d_ik d_jl + d_il d_jk) C_ij,
+    so its only nonzero entries are C_ik at ((i, i), (k, k)), C_ij at ((i, j), (i, j)) and
+    ((i, j), (j, i)), and 3 C_ii where all four indices agree: p(3p - 2) of the p^4.
+    """
+    p = cross.shape[0]
+    gamma = np.zeros((p, p, p, p))
+    a = np.arange(p)
+    row, col = a[:, None], a[None, :]
+    gamma[row, row, col, col] = cross
+    gamma[row, col, row, col] = cross
+    gamma[row, col, col, row] = cross
+    gamma[a, a, a, a] = 3.0 * np.diagonal(cross)
+    return gamma.reshape(p * p, p * p)
+
+
 def sign_fourth_moments(shape_spectrum, cfg: QuadratureConfig | None = None) -> np.ndarray:
     """Fourth moments E[s_i^2 s_j^2] of the spatial sign vector in the eigenbasis.
 
@@ -354,7 +399,7 @@ def sign_moment_matrix(shape_spectrum, cfg: QuadratureConfig | None = None) -> n
     Row-major vec ordering is used (position of matrix entry (i, j) is i*p + j).
     """
     _, cross = _sign_moments(_as_spectrum(shape_spectrum), cfg or DEFAULT_QUADRATURE)
-    return _pairings(np.eye(cross.shape[0]), cross, cross)
+    return _gamma(cross)
 
 
 @dataclass
@@ -367,7 +412,8 @@ class AsymptoticCov:
     population SSCM eigenvalues W is centred with, from the same quadrature.
     ``w`` and ``gamma`` are exactly symmetric and, as S_n is, exactly
     invariant under i <-> j and under k <-> l in their entry ((i, j), (k, l)):
-    both are gathered from one matrix over the sorted index pairs.
+    ``w`` is gathered from one matrix over the sorted index pairs, and
+    ``gamma`` is scattered from the exactly symmetric cross table.
     """
 
     gamma: np.ndarray
@@ -399,9 +445,11 @@ def sscm_asymptotic_cov(
             f"eigenvector matrix is not orthogonal (defect {ortho_defect:.3e} > 1e-10)"
         )
     delta, cross = _sign_moments(lam, cfg or DEFAULT_QUADRATURE)
-    gamma = _pairings(np.eye(p), cross, cross)
     # vec(O D O^T) = V delta, so the centering joins the direct term
     w = _pairings(basis, cross, cross - np.outer(delta, delta))
+    # after w, gamma takes heap space its temporaries freed: built first, it
+    # left 10 MB more resident after a p = 30 call
+    gamma = _gamma(cross)
     return AsymptoticCov(
         gamma=gamma, w=w, eigenvectors=basis.copy(), sscm_spectrum=_descending(delta)
     )

@@ -158,6 +158,14 @@ class TestSscmEigenvalues:
             sscm_eigenvalues([0.99, 0.009, 0.001], cfg)
         assert err.value.residual > 0.0
 
+    @pytest.mark.parametrize("rel_tol", [1e-6, 1e-10, 1e-14])
+    @pytest.mark.parametrize("ratio", [1.0, 0.5, 1e-2, 1e-12, 1e-100, 1e-300])
+    def test_error_estimate_bounds_the_two_dim_error(self, ratio, rel_tol):
+        lam = np.array([1.0, ratio]) / (1.0 + ratio)
+        out, quad = eigenmoments._sscm_map(lam, QuadratureConfig(rel_tol=rel_tol))
+        error = np.max(np.abs(out.values / two_dim_closed_form(lam) - 1.0))
+        assert error <= quad.error_estimate <= rel_tol
+
     def test_accepts_spectrum_or_array(self):
         a = sscm_eigenvalues(Spectrum(np.array([0.7, 0.3])))
         b = sscm_eigenvalues([0.7, 0.3])
@@ -217,7 +225,9 @@ class TestWarpedQuadrature:
         for _ in range(3):
             lam = np.sort(rng.dirichlet(np.ones(10_000)))[::-1]
             _, quad = eigenmoments._sscm_map(lam, None)
-            assert quad.nodes <= 150
+            # the gaps square at each halving, so h = 1/4 already meets the tolerance
+            assert quad.step == 0.25
+            assert quad.nodes <= 80
 
     def test_node_count_at_high_eccentricity(self):
         _, quad = eigenmoments._sscm_map(1e-12 ** (np.arange(3) / 2), None)
@@ -307,6 +317,28 @@ class TestMomentMatrix:
         rng = np.random.default_rng(15)
         mat = sign_moment_matrix(random_spectrum(rng, 4))
         np.testing.assert_array_equal(mat, mat.T)
+
+    @pytest.mark.parametrize(
+        "lam",
+        [
+            [1.0],
+            [0.7, 0.3],
+            [0.5, 0.5],
+            [1.0, 0.0],
+            random_spectrum(np.random.default_rng(33), 5),
+            [0.3, 0.3, 0.2, 0.2, 0.0],
+            random_spectrum(np.random.default_rng(34), 20),
+            np.r_[np.full(8, 0.1), np.full(7, 0.02), np.zeros(5)],
+        ],
+        ids=["1", "2", "2-tie", "2-zero", "5", "5-tie-zero", "20", "20-tie-zero"],
+    )
+    def test_scatter_equals_the_pairing_sums(self, lam):
+        # gamma is scattered from the cross table; with basis I the pairing sums give it too
+        _, cross = eigenmoments._sign_moments(Spectrum(lam), eigenmoments.DEFAULT_QUADRATURE)
+        p = cross.shape[0]
+        reference = eigenmoments._pairings(np.eye(p), cross, cross)
+        np.testing.assert_array_equal(sign_moment_matrix(lam), reference)
+        np.testing.assert_array_equal(sscm_asymptotic_cov(np.eye(p), lam).gamma, reference)
 
     def test_entries_match_direct_monte_carlo(self):
         # estimate E[vec(s s^T) vec(s s^T)^T] directly from simulated signs
