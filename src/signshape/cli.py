@@ -32,7 +32,8 @@ from signshape.eigenmoments import (
     QuadratureConfig,
     QuadratureError,
     Spectrum,
-    _sscm_map,
+    _descending,
+    _per_entry,
     sscm_asymptotic_cov,
 )
 from signshape.estimators import sample_kendall_tau, sample_sscm
@@ -159,10 +160,6 @@ def _quad_cfg(args) -> QuadratureConfig:
     return QuadratureConfig(rel_tol=args.rel_tol)
 
 
-def _spectrum_list(spectrum) -> list:
-    return [float(x) for x in np.asarray(spectrum)]
-
-
 def _median_metadata(est) -> dict | None:
     if est.median is None:
         return None
@@ -231,8 +228,8 @@ def _cmd_shape(args):
     payload = {
         "command": "shape",
         "matrix": shape.matrix,
-        "lambda": _spectrum_list(inv.spectrum),
-        "delta": _spectrum_list(shape.sscm_spectrum),
+        "lambda": inv.spectrum.values,
+        "delta": shape.sscm_spectrum.values,
         "converged": bool(inv.converged),
         "iterations": inv.iterations,
         "residual": inv.residual,
@@ -254,11 +251,12 @@ def _cmd_shape(args):
 def _cmd_map(args):
     spectrum = _parse_spectrum(args.lambdas, "--lambdas")
     cfg = _quad_cfg(args)
-    out, quad = _sscm_map(spectrum, cfg)
+    quad = _per_entry(spectrum, cfg)
+    out = _descending(quad.values)
     payload = {
         "command": "map",
-        "lambda": _spectrum_list(spectrum),
-        "delta": _spectrum_list(out),
+        "lambda": spectrum.values,
+        "delta": out.values,
         "metadata": {
             "p": len(spectrum),
             "rel_tol": cfg.rel_tol,
@@ -276,8 +274,8 @@ def _cmd_invmap(args):
     result = shape_eigenvalues(spectrum, tol=args.tol, max_iter=args.max_iter, cfg=cfg)
     payload = {
         "command": "invmap",
-        "delta": _spectrum_list(spectrum),
-        "lambda": _spectrum_list(result.spectrum),
+        "delta": spectrum.values,
+        "lambda": result.spectrum.values,
         "converged": bool(result.converged),
         "iterations": result.iterations,
         "residual": result.residual,
@@ -323,8 +321,8 @@ def _cmd_asymcov(args):
     cov = sscm_asymptotic_cov(basis, spectrum, cfg)
     payload = {
         "command": "asymcov",
-        "lambda": _spectrum_list(spectrum),
-        "delta": _spectrum_list(cov.sscm_spectrum),
+        "lambda": spectrum.values,
+        "delta": cov.sscm_spectrum.values,
         "w": cov.w,
         "gamma": cov.gamma,
         "eigenvectors": cov.eigenvectors,
@@ -360,7 +358,7 @@ def _cmd_simulate(args):
             "replicates": args.replicates,
             "seed": args.seed,
             "radial": args.radial,
-            "lambda": _spectrum_list(spectrum),
+            "lambda": spectrum.values,
         },
     }
     return payload, mean_sscm, _OK

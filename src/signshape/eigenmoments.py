@@ -134,11 +134,13 @@ def _as_spectrum(values) -> Spectrum:
 
 
 def _grouped(values):
-    """Distinct values descending, float multiplicities, per-entry distinct index."""
+    """Distinct nonzero values descending, float multiplicities, and each entry's
+    index among them; a zero entry indexes one past the last value."""
     vals, inv, counts = np.unique(values, return_inverse=True, return_counts=True)
+    k = vals.size - int(vals[0] == 0.0)
     return (
-        np.ascontiguousarray(vals[::-1]),
-        np.ascontiguousarray(counts[::-1]).astype(float),
+        np.ascontiguousarray(vals[::-1][:k]),
+        counts[::-1][:k].astype(float),
         vals.size - 1 - inv,
     )
 
@@ -277,15 +279,27 @@ def _moments(v: np.ndarray, m: np.ndarray, cfg: QuadratureConfig, cross: bool = 
     return _Moments(values / total, table, error, h, nodes)
 
 
-def _sscm_map(shape_spectrum, cfg: QuadratureConfig | None) -> tuple[Spectrum, _Moments]:
-    """SSCM eigenvalues together with the quadrature that produced them."""
+def _per_entry(shape_spectrum, cfg: QuadratureConfig | None, cross: bool = False) -> _Moments:
+    """The quadrature of the distinct nonzero values, read out per entry.
+
+    Ties share one integral and zero entries read exact zeros.  A single
+    distinct value of multiplicity m takes the exact table: the sign is then
+    uniform on the unit sphere of the support, so E[s_a^2] = 1/m and
+    E[s_a^2 s_b^2] = 1/(m(m + 2)) for a != b (E[s_a^4] is three times that),
+    with error estimate 0, step 0 and no nodes.
+    """
     lam = _as_spectrum(shape_spectrum)
     vals, counts, inv = _grouped(lam.values)
-    nonzero = vals > 0.0
-    quad = _moments(vals[nonzero], counts[nonzero], cfg or DEFAULT_QUADRATURE)
-    out = np.zeros_like(vals)
-    out[nonzero] = quad.values
-    return _descending(out[inv]), quad
+    if vals.size == 1:
+        m = counts[0]
+        table = np.array([[1.0 / (m * (m + 2.0))]]) if cross else None
+        quad = _Moments(np.array([1.0 / m]), table, 0.0, 0.0, 0)
+    else:
+        quad = _moments(vals, counts, cfg or DEFAULT_QUADRATURE, cross)
+    if vals.size == lam.p:
+        return quad  # distinct nonzero entries, already descending
+    table = np.pad(quad.cross, (0, 1))[np.ix_(inv, inv)] if cross else None
+    return quad._replace(values=np.append(quad.values, 0.0)[inv], cross=table)
 
 
 def _descending(delta: np.ndarray) -> Spectrum:
@@ -308,31 +322,12 @@ def sscm_eigenvalues(shape_spectrum, cfg: QuadratureConfig | None = None) -> Spe
     Spectrum
         SSCM eigenvalues.  Zero input eigenvalues map to exact zeros, tied
         inputs map to identical outputs (one integral per distinct value),
-        and the result is renormalized to sum one.  A pre-normalization
-        defect above ``10 * cfg.rel_tol``, or a step that cannot be refined
-        to ``cfg.rel_tol``, raises :class:`QuadratureError`.
+        a spectrum equal on its m-entry support maps to the exact 1/m there
+        without quadrature, and the result is renormalized to sum one.  A
+        pre-normalization defect above ``10 * cfg.rel_tol``, or a step that
+        cannot be refined to ``cfg.rel_tol``, raises :class:`QuadratureError`.
     """
-    return _sscm_map(shape_spectrum, cfg)[0]
-
-
-def _sign_moments(lam: Spectrum, cfg: QuadratureConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Per-entry SSCM eigenvalues and cross table (diagonal E[s_a^4] / 3) from one quadrature."""
-    vals, counts, inv = _grouped(lam.values)
-    nonzero = vals > 0.0
-    delta = np.zeros(vals.size)
-    cross = np.zeros((vals.size, vals.size))
-    if nonzero.sum() == 1 and counts[0] == 1.0:
-        # all mass on one axis: the sign concentrates there and s_1^4 = 1
-        delta[0], cross[0, 0] = 1.0, 1.0 / 3.0
-    elif vals.size == lam.p and nonzero.all():
-        # distinct nonzero entries, already descending: the quadrature is per entry
-        quad = _moments(vals, counts, cfg, cross=True)
-        return quad.values, quad.cross
-    else:
-        quad = _moments(vals[nonzero], counts[nonzero], cfg, cross=True)
-        delta[nonzero] = quad.values
-        cross[np.ix_(nonzero, nonzero)] = quad.cross
-    return delta[inv], cross[np.ix_(inv, inv)]
+    return _descending(_per_entry(shape_spectrum, cfg).values)
 
 
 def _pairings(basis: np.ndarray, cross: np.ndarray, direct: np.ndarray) -> np.ndarray:
@@ -383,8 +378,10 @@ def sign_fourth_moments(shape_spectrum, cfg: QuadratureConfig | None = None) -> 
 
     Returns the symmetric p x p table whose row sums reproduce the SSCM
     eigenvalues.  Rows and columns at zero shape eigenvalues are exactly zero.
+    A spectrum equal on its m-entry support gets the exact table 3/(m(m + 2))
+    on the support's diagonal and 1/(m(m + 2)) off it, without quadrature.
     """
-    _, table = _sign_moments(_as_spectrum(shape_spectrum), cfg or DEFAULT_QUADRATURE)
+    table = _per_entry(shape_spectrum, cfg, cross=True).cross
     table[np.diag_indices_from(table)] *= 3.0
     return table
 
@@ -398,8 +395,7 @@ def sign_moment_matrix(shape_spectrum, cfg: QuadratureConfig | None = None) -> n
     the p^4 entries can be nonzero; the remaining entries are exactly zero.
     Row-major vec ordering is used (position of matrix entry (i, j) is i*p + j).
     """
-    _, cross = _sign_moments(_as_spectrum(shape_spectrum), cfg or DEFAULT_QUADRATURE)
-    return _gamma(cross)
+    return _gamma(_per_entry(shape_spectrum, cfg, cross=True).cross)
 
 
 @dataclass
@@ -409,7 +405,10 @@ class AsymptoticCov:
     ``w`` is the p^2 x p^2 covariance, ``gamma`` the uncentered sign moment
     matrix in the eigenbasis, ``eigenvectors`` the orthogonal matrix O
     that carries gamma into the data coordinates, and ``sscm_spectrum`` the
-    population SSCM eigenvalues W is centred with, from the same quadrature.
+    population SSCM eigenvalues from the same quadrature, as
+    :func:`sscm_eigenvalues` returns them: order-guarded and renormalized.
+    W is centred with the per-entry quadrature values before that step,
+    which can differ from ``sscm_spectrum`` in the last bit.
     ``w`` and ``gamma`` are exactly symmetric and, as S_n is, exactly
     invariant under i <-> j and under k <-> l in their entry ((i, j), (k, l)):
     ``w`` is gathered from one matrix over the sorted index pairs, and
@@ -444,7 +443,7 @@ def sscm_asymptotic_cov(
         raise ValueError(
             f"eigenvector matrix is not orthogonal (defect {ortho_defect:.3e} > 1e-10)"
         )
-    delta, cross = _sign_moments(lam, cfg or DEFAULT_QUADRATURE)
+    delta, cross = _per_entry(lam, cfg, cross=True)[:2]
     # vec(O D O^T) = V delta, so the centering joins the direct term
     w = _pairings(basis, cross, cross - np.outer(delta, delta))
     # after w, gamma takes heap space its temporaries freed: built first, it

@@ -83,11 +83,7 @@ def shape_eigenvalues(
         raise ValueError("tol must be positive")
     if max_iter < 0:
         raise ValueError("max_iter must be non-negative")
-    target = _as_spectrum(sscm_spectrum)
-    tvals = target.values
-    p = tvals.size
-    support = tvals > 0.0
-    dvals, mults, inv_nz = _grouped(tvals[support])
+    dvals, mults, inv = _grouped(_as_spectrum(sscm_spectrum).values)
     k = dvals.size
 
     # delta ~ lam (1 - 2 lam + 2 |lam|^2) near the sphere, so start at lam ~ d exp(2 d)
@@ -120,10 +116,9 @@ def shape_eigenvalues(
             alpha *= 0.5
         else:
             break  # no step length lowers the residual
-    lam = np.zeros(p)
-    lam[support] = v[inv_nz]
     resid = float(np.abs(quad.values - dvals).max())
-    return InversionResult(Spectrum(lam), iterations, resid, rel, rel <= tol)
+    # zero targets read the exact zero past the last value
+    return InversionResult(Spectrum(np.append(v, 0.0)[inv]), iterations, resid, rel, rel <= tol)
 
 
 def sscm_eigensystem(sscm) -> tuple[Spectrum, np.ndarray]:

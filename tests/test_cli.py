@@ -113,7 +113,7 @@ def test_byte_identical_reruns():
 
 def test_map_reports_the_node_count():
     payload = json.loads(run_cli("map", "--lambdas", "0.62,0.23,0.15").stdout)
-    _, quad = eigenmoments._sscm_map([0.62, 0.23, 0.15], None)
+    quad = eigenmoments._per_entry([0.62, 0.23, 0.15], None)
     assert payload["metadata"]["nodes"] == quad.nodes > 0
     assert payload["metadata"]["step"] == quad.step
 

@@ -7,6 +7,7 @@ from signshape import (
     QuadratureConfig,
     QuadratureError,
     Spectrum,
+    shape_eigenvalues,
     sign_fourth_moments,
     sign_moment_matrix,
     sscm_asymptotic_cov,
@@ -162,7 +163,8 @@ class TestSscmEigenvalues:
     @pytest.mark.parametrize("ratio", [1.0, 0.5, 1e-2, 1e-12, 1e-100, 1e-300])
     def test_error_estimate_bounds_the_two_dim_error(self, ratio, rel_tol):
         lam = np.array([1.0, ratio]) / (1.0 + ratio)
-        out, quad = eigenmoments._sscm_map(lam, QuadratureConfig(rel_tol=rel_tol))
+        cfg = QuadratureConfig(rel_tol=rel_tol)
+        out, quad = sscm_eigenvalues(lam, cfg), eigenmoments._per_entry(lam, cfg)
         error = np.max(np.abs(out.values / two_dim_closed_form(lam) - 1.0))
         assert error <= quad.error_estimate <= rel_tol
 
@@ -224,13 +226,13 @@ class TestWarpedQuadrature:
         rng = np.random.default_rng(32)
         for _ in range(3):
             lam = np.sort(rng.dirichlet(np.ones(10_000)))[::-1]
-            _, quad = eigenmoments._sscm_map(lam, None)
+            quad = eigenmoments._per_entry(lam, None)
             # the gaps square at each halving, so h = 1/4 already meets the tolerance
             assert quad.step == 0.25
             assert quad.nodes <= 80
 
     def test_node_count_at_high_eccentricity(self):
-        _, quad = eigenmoments._sscm_map(1e-12 ** (np.arange(3) / 2), None)
+        quad = eigenmoments._per_entry(1e-12 ** (np.arange(3) / 2), None)
         assert quad.nodes <= 350
 
 
@@ -242,6 +244,18 @@ class TestFourthMoments:
         expected = np.full((p, p), 1.0 / (p * (p + 2)))
         np.fill_diagonal(expected, 3.0 / (p * (p + 2)))
         np.testing.assert_allclose(table, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("zeros", [0, 2])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_equal_support_takes_the_exact_table(self, m, zeros):
+        # the sign is uniform on the sphere of the support: E[s_a^2 s_b^2] = 1/(m(m+2)), a != b
+        lam = np.r_[np.full(m, 1.0 / m), np.zeros(zeros)]
+        cross = np.zeros((m + zeros, m + zeros))
+        cross[:m, :m] = 1.0 / (m * (m + 2))
+        expected = cross.copy()
+        expected[np.arange(m), np.arange(m)] = 3.0 / (m * (m + 2))
+        np.testing.assert_array_equal(sign_fourth_moments(lam), expected)
+        np.testing.assert_array_equal(sign_moment_matrix(lam), eigenmoments._gamma(cross))
 
     def test_degenerate_direction_carries_all_mass(self):
         np.testing.assert_array_equal(
@@ -286,6 +300,36 @@ class TestFourthMoments:
         rng = np.random.default_rng(13)
         table = sign_fourth_moments(random_spectrum(rng, 6))
         assert np.all(table >= 0.0)
+
+
+class TestPerEntry:
+    @pytest.mark.parametrize(
+        "lam",
+        [[0.3, 0.3, 0.2, 0.2, 0.0], np.r_[np.full(8, 0.1), np.full(7, 0.02), np.zeros(5)]],
+        ids=["5-tie-zero", "20-tie-zero"],
+    )
+    def test_reads_the_distinct_quadrature_out_per_entry(self, lam):
+        values = Spectrum(lam).values
+        distinct = np.unique(values[values > 0.0])[::-1].copy()
+        reps = np.array([np.count_nonzero(values == d) for d in distinct])
+        zeros = np.count_nonzero(values == 0.0)
+        quad = eigenmoments._moments(
+            distinct, reps.astype(float), eigenmoments.DEFAULT_QUADRATURE, cross=True
+        )
+        got = eigenmoments._per_entry(lam, None, cross=True)
+        delta = np.r_[np.repeat(quad.values, reps), np.zeros(zeros)]
+        np.testing.assert_array_equal(got.values, delta)
+        block = np.repeat(np.repeat(quad.cross, reps, axis=0), reps, axis=1)
+        np.testing.assert_array_equal(got.cross, np.pad(block, (0, zeros)))
+        assert got[2:] == quad[2:]
+        # the inverse reads its zeros and ties out of the same grouping
+        target = sscm_eigenvalues(lam).values
+        inv = shape_eigenvalues(target)
+        assert inv.converged
+        assert np.all(inv.spectrum.values[target == 0.0] == 0.0)
+        for d in np.unique(target):
+            tied = inv.spectrum.values[target == d]
+            assert np.all(tied == tied[0])
 
 
 class TestMomentMatrix:
@@ -334,7 +378,7 @@ class TestMomentMatrix:
     )
     def test_scatter_equals_the_pairing_sums(self, lam):
         # gamma is scattered from the cross table; with basis I the pairing sums give it too
-        _, cross = eigenmoments._sign_moments(Spectrum(lam), eigenmoments.DEFAULT_QUADRATURE)
+        cross = eigenmoments._per_entry(lam, None, cross=True).cross
         p = cross.shape[0]
         reference = eigenmoments._pairings(np.eye(p), cross, cross)
         np.testing.assert_array_equal(sign_moment_matrix(lam), reference)
