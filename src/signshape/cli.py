@@ -234,6 +234,7 @@ def _cmd_shape(args):
         "iterations": inv.iterations,
         "residual": inv.residual,
         "relative_residual": inv.relative_residual,
+        "stop": inv.stop,
         "sscm": est.matrix,
         "metadata": {
             "n": est.n_used,
@@ -280,6 +281,7 @@ def _cmd_invmap(args):
         "iterations": result.iterations,
         "residual": result.residual,
         "relative_residual": result.relative_residual,
+        "stop": result.stop,
         "metadata": {
             "p": len(spectrum),
             "tol": args.tol,

@@ -15,17 +15,21 @@ trapezoid rule on shared nodes converges like exp(-2 pi^2 / h) for both
 families (Trefethen & Weideman, SIAM Review 2014).  Each halving of h thus
 squares the error, so the rule estimates a level's error from the last two
 gaps between levels, as is usual for double-exponential rules (Bailey,
-Jeyabalan & Li, 2005), and most spectra stop at h = 1/4.  The nodes are evenly
-spaced in t, not in u: u = t - exp(A - t) with A = -4 is the identity right
-of A + 37 to double precision and squeezes the left tail u in [log eps, A],
-where every integrand is nearly v e^u, into about 3.5 units of t
-(Takahasi & Mori, 1974).  At p = 10^4 that is a third of the nodes.  The
-singularities at Re u = -log v_k >= 0 lie where the warp is all but the
-identity, so the rule keeps its exponential convergence: in the squeezed
-tail the integrand stays bounded for |Im t| < pi/2, which adds an error of
-about e^A exp(-pi^2 / h), 4e-11 relative at h = 1/2.  Integrals run once per
-distinct value, so p in the thousands poses no difficulty and equal shape
-eigenvalues give exactly equal results.
+Jeyabalan & Li, 2005), and most spectra stop at h = 1/4.  Each level reads
+only its new midpoints: its gap to the level before is the new step times
+their sums less the old ones.  The table sum J w g g^T is accumulated as
+(sqrt(J w) g)^T (sqrt(J w) g) per block of nodes, a symmetric rank-k
+update, so it is exactly symmetric.  The nodes are evenly spaced in t, not
+in u: u = t - exp(A - t) with A = -4 is the identity right of A + 37 to
+double precision and squeezes the left tail u in [log eps, A], where every
+integrand is nearly v e^u, into about 3.5 units of t (Takahasi & Mori, 1974).
+At p = 10^4 that is a third of the nodes.  The singularities at
+Re u = -log v_k >= 0 lie where the warp is all but the identity, so the rule
+keeps its exponential convergence: in the squeezed tail the integrand stays
+bounded for |Im t| < pi/2, which adds an error of about e^A exp(-pi^2 / h),
+4e-11 relative at h = 1/2.  Integrals run once per distinct value, so p in
+the thousands poses no difficulty and equal shape eigenvalues give exactly
+equal results.
 """
 
 from __future__ import annotations
@@ -135,7 +139,10 @@ def _as_spectrum(values) -> Spectrum:
 
 def _grouped(values):
     """Distinct nonzero values descending, float multiplicities, and each entry's
-    index among them; a zero entry indexes one past the last value."""
+    index among them; a zero entry indexes one past the last value.  Strictly
+    descending positive values, the usual input, are returned as they are."""
+    if values[-1] > 0.0 and np.all(values[:-1] > values[1:]):
+        return values, np.ones(values.size), np.arange(values.size)
     vals, inv, counts = np.unique(values, return_inverse=True, return_counts=True)
     k = vals.size - int(vals[0] == 0.0)
     return (
@@ -148,7 +155,7 @@ def _grouped(values):
 class _Moments(NamedTuple):
     """SSCM eigenvalues per distinct value (``m @ values == 1``), the cross table
     E[s_a^2 s_b^2] when requested (its diagonal is E[s_a^4] / 3), error estimate,
-    step, and the number of integrand nodes per distinct value, scan included."""
+    step, and the number of evaluated integrand nodes per distinct value."""
 
     values: np.ndarray
     cross: np.ndarray | None
@@ -180,20 +187,28 @@ def _blocks(n: int, k: int):
 
 def _node_sums(
     u: np.ndarray, log_jac: np.ndarray, v: np.ndarray, m: np.ndarray, cross: bool, log_w=None
-) -> np.ndarray:
-    """Sums over nodes u of J w g and, if ``cross``, of J w g g^T: a k x 1 or k x (1 + k) array.
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Sums over nodes u of J w g (length k) and, if ``cross``, of J w g g^T (k x k, else None).
 
     J = du/dt at each node, given as ``log_jac``; ``log_w`` holds log w at the
-    nodes when it is already known.
+    nodes when it is already known.  With ``cross`` each n x k block g is
+    scaled in place by sqrt(J w) per node, so the table gains g^T g, which
+    numpy runs as a symmetric rank-k update: it is exactly symmetric.
     """
-    sums = np.zeros((v.size, 1 + v.size * cross))
+    values = table = None
     for block in _blocks(u.size, v.size):
         nodes = u[block]
         log_wb = _log_weight(nodes, v, m) if log_w is None else log_w[block]
         g = v / np.add.outer(np.exp(-nodes), v)
-        factors = np.column_stack([np.ones(nodes.size), g]) if cross else np.ones((nodes.size, 1))
-        sums += (g.T * np.exp(log_wb + log_jac[block])) @ factors
-    return sums
+        if cross:
+            root = np.exp(0.5 * (log_wb + log_jac[block]))
+            g *= root[:, None]
+            part = root @ g
+            table = g.T @ g if table is None else np.add(table, g.T @ g, out=table)
+        else:
+            part = np.exp(log_wb + log_jac[block]) @ g
+        values = part if values is None else np.add(values, part, out=values)
+    return values, table
 
 
 def _moments(v: np.ndarray, m: np.ndarray, cfg: QuadratureConfig, cross: bool = False) -> _Moments:
@@ -207,7 +222,9 @@ def _moments(v: np.ndarray, m: np.ndarray, cfg: QuadratureConfig, cross: bool = 
     1/2 sum_i m_i g_i w = -w', the mass of eigenvalue i beyond a node is at
     most w there over m_i, and ratio shrinkage gives m_i delta_i >= v_min /
     (p v_max); the last node is the first, on a scan of step 1 in t, where w
-    falls below eps times that.
+    falls below eps times that.  log w decreases in u, so the scan evaluates
+    its nodes block by block and stops after the first block that reaches
+    that floor; ``nodes`` counts the nodes evaluated.
 
     The step starts at 1 and is halved on nested nodes.  Let D_k be the gap
     between the results at h and h/2, the largest over all integrals, each
@@ -220,7 +237,11 @@ def _moments(v: np.ndarray, m: np.ndarray, cfg: QuadratureConfig, cross: bool = 
     gaps cannot resolve.  That value, or D_k while the gaps do not shrink, is
     ``error_estimate``, and the ``residual`` of the QuadratureError raised if
     _MAX_HALVINGS halvings do not reach the tolerance.  The second test needs
-    two gaps, so it stops at h = 1/4 at the earliest.
+    two gaps, so it stops at h = 1/4 at the earliest.  Level h/2 adds the
+    midpoint sums M to the sums S of level h, and its result less that of
+    level h is h/2 (M - S), so each gap is read off the new nodes with no copy
+    of either level.  The cross table is a sum of symmetric rank-k updates
+    (see ``_node_sums``), so it is exactly symmetric.
 
     The warp is entire and increasing, and the singularities of the
     integrands sit at Re u = -log v_k >= 0, Im u = +-pi, where the warp
@@ -235,25 +256,33 @@ def _moments(v: np.ndarray, m: np.ndarray, cfg: QuadratureConfig, cross: bool = 
     top = -math.log(v[-1]) - 4.0 * log_floor / p
     scan_t = _T0 + np.arange(math.ceil(top + 1.0 - _T0) + 1.0)
     scan_u, scan_jac = _warp(scan_t)
-    log_w = np.concatenate(
-        [_log_weight(scan_u[block], v, m) for block in _blocks(scan_u.size, v.size)]
-    )
+    # log w decreases in u, so no block past the first to reach the floor is read
+    log_w = []
+    for block in _blocks(scan_u.size, v.size):
+        log_w.append(_log_weight(scan_u[block], v, m))
+        if log_w[-1][-1] <= log_floor:
+            break
+    log_w = np.concatenate(log_w)
     span = int(np.argmax(log_w <= log_floor))
-    nodes = scan_t.size
+    nodes = log_w.size
     h = 1.0
     # the h = 1 level is the scan up to its last node, log weights and all
-    sums = _node_sums(scan_u[: span + 1], scan_jac[: span + 1], v, m, cross, log_w[: span + 1])
-    fine = h * sums
+    head = slice(span + 1)
+    values, table = _node_sums(scan_u[head], scan_jac[head], v, m, cross, log_w[head])
     previous = 0.0  # the gap one halving back; none before the first
     for _ in range(_MAX_HALVINGS):
         mid_u, mid_jac = _warp(_T0 + h * (np.arange(span / h) + 0.5))
         nodes += mid_u.size
-        sums += _node_sums(mid_u, mid_jac, v, m, cross)
+        mid_values, mid_table = _node_sums(mid_u, mid_jac, v, m, cross)
         h *= 0.5
-        fine, coarse = h * sums, fine
-        # coarse is not read again, so its buffer takes |fine - coarse|
-        diff = np.abs(np.subtract(fine, coarse, out=coarse), out=coarse)
-        gap = float(np.max(diff.max(axis=1) / np.maximum(fine[:, 0], _TINY)))
+        # the fine result less the coarse is h (mid - old), read off the new nodes
+        change = np.abs(mid_values - values)
+        values += mid_values
+        if cross:
+            diff = mid_table - table
+            change = np.maximum(change, np.abs(diff, out=diff).max(axis=1))
+            table += mid_table
+        gap = float(np.max(h * change / np.maximum(h * values, _TINY)))
         # once the gaps shrink, the next shrinks by their ratio or more
         error = max(gap * gap / previous, _ROUNDING) if gap < previous else gap
         if gap <= cfg.rel_tol or error <= cfg.rel_tol:
@@ -265,7 +294,7 @@ def _moments(v: np.ndarray, m: np.ndarray, cfg: QuadratureConfig, cross: bool = 
             f"(rel_tol {cfg.rel_tol:.3e})",
             residual=error,
         )
-    values = 0.5 * h * sums[:, 0]
+    values *= 0.5 * h
     total = float(m @ values)
     defect = abs(total - 1.0)
     if not math.isfinite(total) or defect > 10.0 * cfg.rel_tol:
@@ -274,8 +303,8 @@ def _moments(v: np.ndarray, m: np.ndarray, cfg: QuadratureConfig, cross: bool = 
             f"(defect {defect:.3e} exceeds {10.0 * cfg.rel_tol:.3e})",
             residual=defect,
         )
-    # 1/4 int g g^T w du, symmetric to the last bit whatever order the GEMM summed in
-    table = 0.125 * h * (sums[:, 1:] + sums[:, 1:].T) if cross else None
+    if cross:
+        table *= 0.25 * h  # 1/4 int g g^T w du
     return _Moments(values / total, table, error, h, nodes)
 
 

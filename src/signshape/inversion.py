@@ -55,6 +55,9 @@ class InversionResult:
     ``residual`` is the sup-norm of (forward map of ``spectrum``) minus the
     target and ``relative_residual`` the largest |forward / target - 1| over
     nonzero targets; both are at most the tolerance when ``converged`` is true.
+    ``stop`` names why the iteration ended: ``"converged"``, ``"max_iter"``,
+    ``"no_descent"`` (no step length lowered the residual) or
+    ``"singular_jacobian"`` (the Newton system could not be solved).
     """
 
     spectrum: Spectrum
@@ -62,6 +65,7 @@ class InversionResult:
     residual: float
     relative_residual: float
     converged: bool
+    stop: str
 
 
 def shape_eigenvalues(
@@ -76,7 +80,7 @@ def shape_eigenvalues(
     yield exactly equal results (the reduced problem runs over distinct
     values only).  A step is halved until its candidate is strictly
     descending and lowers the relative residual.  On failure the best
-    iterate found is returned with ``converged=False``.
+    iterate found is returned with ``converged=False`` and the reason in ``stop``.
     """
     cfg = cfg or DEFAULT_QUADRATURE
     if tol <= 0.0:
@@ -92,7 +96,8 @@ def shape_eigenvalues(
     quad = _moments(v, mults, cfg, cross=True)
     rel = float(np.abs(quad.values / dvals - 1.0).max())
     iterations = 0
-    # a single distinct value is its own preimage
+    # a single distinct value is its own preimage: no step can lower a rounding residual
+    stop = "max_iter" if k > 1 else "no_descent"
     while k > 1 and rel > tol and iterations < max_iter:
         iterations += 1
         # d delta / d log v: null on the right by scale invariance, on the left by the unit sum
@@ -101,6 +106,7 @@ def shape_eigenvalues(
         try:
             step = np.linalg.solve(bordered, np.log(dvals / quad.values))
         except np.linalg.LinAlgError:
+            stop = "singular_jacobian"
             break
         alpha = 1.0
         while alpha >= 2.0**-40:
@@ -115,10 +121,15 @@ def shape_eigenvalues(
                     break
             alpha *= 0.5
         else:
-            break  # no step length lowers the residual
+            stop = "no_descent"  # no step length lowers the residual
+            break
+    if rel <= tol:
+        stop = "converged"
     resid = float(np.abs(quad.values - dvals).max())
     # zero targets read the exact zero past the last value
-    return InversionResult(Spectrum(np.append(v, 0.0)[inv]), iterations, resid, rel, rel <= tol)
+    return InversionResult(
+        Spectrum(np.append(v, 0.0)[inv]), iterations, resid, rel, rel <= tol, stop
+    )
 
 
 def sscm_eigensystem(sscm) -> tuple[Spectrum, np.ndarray]:
@@ -220,7 +231,8 @@ def estimate_shape(
     if not inversion.converged:
         raise ConvergenceError(
             f"eigenvalue inversion stalled at relative residual {inversion.relative_residual:.3e} "
-            f"(absolute {inversion.residual:.3e}) after {inversion.iterations} iterations",
+            f"(absolute {inversion.residual:.3e}) after {inversion.iterations} iterations "
+            f"(stop: {inversion.stop})",
             result=result,
         )
     return result

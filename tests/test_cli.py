@@ -63,6 +63,10 @@ def test_invmap_fixed_point():
     payload = json.loads(proc.stdout)
     assert payload["converged"] is True
     np.testing.assert_allclose(payload["lambda"], [0.5, 0.5], atol=1e-12)
+    assert payload["stop"] == "converged"
+    # the stop reason follows the relative residual
+    keys = list(payload)
+    assert keys.index("stop") == keys.index("relative_residual") + 1
 
 
 def test_map_invmap_round_trip():
@@ -401,6 +405,7 @@ def test_nonconvergence_exits_two():
     assert proc.returncode == 2
     payload = json.loads(proc.stdout)
     assert payload["converged"] is False
+    assert payload["stop"] == "max_iter"
 
 
 def test_pin_fixtures_writes_valid_json(tmp_path):
@@ -423,3 +428,4 @@ def test_shape_command_matches_library(cross_csv):
     expected = estimate_shape(est)
     np.testing.assert_allclose(payload["matrix"], expected.matrix, atol=1e-14)
     assert payload["relative_residual"] == expected.inversion.relative_residual
+    assert payload["stop"] == expected.inversion.stop == "converged"

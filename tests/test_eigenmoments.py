@@ -229,7 +229,7 @@ class TestWarpedQuadrature:
             quad = eigenmoments._per_entry(lam, None)
             # the gaps square at each halving, so h = 1/4 already meets the tolerance
             assert quad.step == 0.25
-            assert quad.nodes <= 80
+            assert quad.nodes <= 60
 
     def test_node_count_at_high_eccentricity(self):
         quad = eigenmoments._per_entry(1e-12 ** (np.arange(3) / 2), None)
@@ -292,9 +292,25 @@ class TestFourthMoments:
         np.testing.assert_array_equal(table[:, 3], np.zeros(4))
 
     def test_exactly_symmetric_at_large_p(self):
-        # the cross table comes from one GEMM, whose summation order is not symmetric
+        # the cross table is a sum of symmetric rank-k updates, symmetric by construction
         table = sign_fourth_moments(random_spectrum(np.random.default_rng(20), 100))
         np.testing.assert_array_equal(table, table.T)
+
+    def test_several_node_blocks(self, monkeypatch):
+        # at p = 1000 a block holds 65 nodes, and this spectrum scans past the first
+        lam = np.sort(np.random.default_rng(33).dirichlet(np.full(1000, 0.05)))[::-1]
+        table = sign_fourth_moments(lam)
+        np.testing.assert_array_equal(table, table.T)
+        delta = sscm_eigenvalues(lam).values
+        np.testing.assert_allclose(table.sum(axis=1), delta, rtol=1e-12, atol=0)
+        blocked = eigenmoments._per_entry(lam, None, cross=True)
+        monkeypatch.setattr(eigenmoments, "_BLOCK", 1 << 40)
+        whole = eigenmoments._per_entry(lam, None, cross=True)
+        np.testing.assert_allclose(whole.values, blocked.values, rtol=1e-15, atol=0)
+        assert np.all(np.abs(whole.cross - blocked.cross) <= 1e-15 * blocked.values[:, None])
+        assert whole.step == blocked.step
+        # one block evaluates the whole scan
+        assert whole.nodes >= blocked.nodes
 
     def test_all_entries_non_negative(self):
         rng = np.random.default_rng(13)
@@ -330,6 +346,33 @@ class TestPerEntry:
         for d in np.unique(target):
             tied = inv.spectrum.values[target == d]
             assert np.all(tied == tied[0])
+
+
+class TestGrouped:
+    @given(
+        st.lists(
+            st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+            min_size=1,
+            max_size=30,
+            unique=True,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_distinct_positive_fast_path_matches_unique(self, entries):
+        values = np.sort(np.array(entries))[::-1].copy()
+        vals, counts, inv = eigenmoments._grouped(values)
+        # a trailing zero sends the same values through np.unique
+        ref_vals, ref_counts, ref_inv = eigenmoments._grouped(np.append(values, 0.0))
+        assert ref_inv[-1] == values.size
+        for got, ref in ((vals, ref_vals), (counts, ref_counts), (inv, ref_inv[:-1])):
+            assert got.dtype == ref.dtype
+            np.testing.assert_array_equal(got, ref)
+
+    def test_ties_and_zeros_take_unique(self):
+        vals, counts, inv = eigenmoments._grouped(np.array([0.3, 0.3, 0.2, 0.1, 0.1, 0.0]))
+        np.testing.assert_array_equal(vals, [0.3, 0.2, 0.1])
+        np.testing.assert_array_equal(counts, [2.0, 1.0, 2.0])
+        np.testing.assert_array_equal(inv, [0, 0, 1, 2, 2, 3])
 
 
 class TestMomentMatrix:

@@ -11,6 +11,7 @@ from signshape import (
     sscm_eigensystem,
     sscm_eigenvalues,
 )
+from signshape import inversion
 from signshape.estimators import SscmEstimate
 from tests.conftest import random_spectrum
 
@@ -98,6 +99,38 @@ class TestShapeEigenvalues:
         assert res.iterations == 1
         assert res.residual > 0.0
         assert isinstance(res.spectrum, Spectrum)
+
+    def test_stop_converged(self):
+        # a single distinct value is its own preimage
+        res = shape_eigenvalues([0.25, 0.25, 0.25, 0.25])
+        assert (res.stop, res.iterations, res.converged) == ("converged", 0, True)
+
+    def test_stop_max_iter(self):
+        res = shape_eigenvalues([0.6, 0.3, 0.1], max_iter=0)
+        assert (res.stop, res.iterations, res.converged) == ("max_iter", 0, False)
+
+    def test_stop_singular_jacobian(self, monkeypatch):
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        res = shape_eigenvalues([0.6, 0.3, 0.1])
+        assert (res.stop, res.iterations, res.converged) == ("singular_jacobian", 1, False)
+
+    def test_stop_no_descent(self, monkeypatch):
+        original = inversion._moments
+        first = []
+
+        def stuck(*args, **kwargs):
+            # every candidate reads the starting point's moments: no step lowers the residual
+            if not first:
+                first.append(original(*args, **kwargs))
+            return first[0]
+
+        monkeypatch.setattr(inversion, "_moments", stuck)
+        res = shape_eigenvalues([0.6, 0.3, 0.1])
+        assert (res.stop, res.iterations, res.converged) == ("no_descent", 1, False)
+        assert res.relative_residual > 1e-9
 
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError):
@@ -223,3 +256,5 @@ class TestEstimateShape:
         assert partial is not None
         assert partial.matrix.shape == (3, 3)
         assert not partial.inversion.converged
+        assert partial.inversion.stop == "max_iter"
+        assert "(stop: max_iter)" in str(err.value)
