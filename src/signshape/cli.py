@@ -167,6 +167,7 @@ def _median_metadata(est) -> dict | None:
         "iterations": est.median.iterations,
         "converged": bool(est.median.converged),
         "residual_gradient_norm": est.median.residual_gradient_norm,
+        "at_data_point": bool(est.median.at_data_point),
     }
 
 

@@ -4,7 +4,9 @@ variant, the spatial Kendall's tau matrix.
 
 All functions are pure and safe to call concurrently.  Both matrix
 estimators reduce to one kernel, the spatial signs S of the rows of a
-difference matrix, and sum s s^T over them as S^T S.
+difference matrix, and sum s s^T over them as S^T S.  The spatial median
+starts at the coordinate-wise median, from one sort, and takes Newton steps
+on the p x p Hessian when p^2 <= n, Weiszfeld steps otherwise.
 """
 
 from __future__ import annotations
@@ -52,6 +54,8 @@ def spatial_sign(x) -> np.ndarray:
 
 # entries up to half the largest double have finite differences
 _HALF_MAX = np.finfo(float).max / 2
+# squared norms below the smallest normal double have lost precision
+_TINY = np.finfo(float).tiny
 
 
 def _overflow_safe(*arrays: np.ndarray) -> tuple:
@@ -72,7 +76,7 @@ def _spatial_signs(diff: np.ndarray) -> np.ndarray:
     their largest magnitude first, so signs survive extreme row scales.
     """
     sq = np.einsum("ij,ij->i", diff, diff)
-    rescale = ~((sq >= np.finfo(float).tiny) & np.isfinite(sq))
+    rescale = ~((sq >= _TINY) & np.isfinite(sq))
     norms = np.sqrt(sq)
     norms[rescale] = np.inf  # those rows divide to zero here and are redone below
     signs = diff / norms[:, None]
@@ -90,38 +94,73 @@ class SpatialMedian:
 
     ``residual_gradient_norm`` is the distance of zero from the
     subdifferential of mu -> sum_i |x_i - mu| at ``location``; it is at most
-    the requested tolerance whenever ``converged`` is true.
+    the requested tolerance whenever ``converged`` is true.  ``iterations``
+    counts the steps taken, Newton and Weiszfeld alike.  ``at_data_point`` is
+    true when ``location`` is returned as an observation: the iteration
+    ended on a data point, or every observation is at the same point.
     """
 
     location: np.ndarray
     converged: bool
     iterations: int
     residual_gradient_norm: float
+    at_data_point: bool = False
 
 
 def _pull(X: np.ndarray, mu: np.ndarray) -> tuple:
-    """Sum of the unit vectors from mu to the rows of X not at mu, the sum of
-    their inverse distances, the number of rows at mu, and every distance."""
+    """Sum of the unit vectors from mu to the rows of X not at mu, the inverse
+    distances of those rows, the number of rows at mu, every distance and
+    every difference X - mu.
+
+    When no row is at mu, as is usual, the differences and distances are used
+    as they are, with no masked copies.
+    """
     diff = X - mu
     dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    anchored = dist == 0.0
-    w = 1.0 / dist[~anchored]
-    return w @ diff[~anchored], w, int(np.count_nonzero(anchored)), dist
+    n_anchor = int(np.count_nonzero(dist == 0.0))
+    if n_anchor:
+        away = dist != 0.0
+        w = 1.0 / dist[away]
+        return w @ diff[away], w, n_anchor, dist, diff
+    w = 1.0 / dist
+    return w @ diff, w, 0, dist, diff
+
+
+def _coordinate_median(X: np.ndarray) -> np.ndarray:
+    """``np.median(X, axis=0)`` by one sort: the middle row, or the mean of
+    the two middle rows, of the sorted columns (bitwise equal, overflow to
+    inf included)."""
+    s = np.sort(X, axis=0)
+    h = len(X) // 2
+    if len(X) % 2:
+        return s[h]
+    with np.errstate(over="ignore"):
+        return (s[h - 1] + s[h]) / 2
 
 
 def spatial_median(data, tol: float = 1e-10, max_iter: int = 1000) -> SpatialMedian:
     """Minimize the sum of Euclidean distances to the observations.
 
-    Damped Weiszfeld iteration with the anchor-point correction: when the
-    iterate coincides with data points, the step is shrunk by the multiplicity
-    at the anchor and optimality is judged by the subgradient condition there.
-    The data are centred once at their coordinate-wise median, where the
-    iteration starts, so its updates round at the spread of the data rather
-    than at their distance from the origin.  Centred data far from unit size
-    are also scaled by a power of two to it, which is exact, so they converge
-    as they would at scale one.  Every returned location undoes both.  When
-    the iterates close in on an observation faster than the residual falls,
-    or stall short of it, that observation is returned, converged, if the
+    The iteration starts at the coordinate-wise median, taken from one sort
+    of the columns.  The data are centred once there, so its updates round
+    at the spread of the data rather than at their distance from the origin.
+    Centred data far from unit size are also scaled by a power of two to it,
+    which is exact, so they converge as they would at scale one.  Every
+    returned location undoes both.
+
+    When p^2 <= n, where the p x p Hessian costs no more than a few
+    Weiszfeld steps, each step is a Newton step: it solves H s = pull with
+    H = (sum w) I - B^T B, B the differences scaled by w^(3/2) and w the
+    inverse distances.  The first time a row sits at the iterate, the solve
+    fails, or a Newton step does not lower the residual, the iteration falls
+    back to Weiszfeld steps for good; those converge from any point.
+
+    Otherwise, and after a fallback, each step is a damped Weiszfeld step
+    with the anchor-point correction: when the iterate coincides with data
+    points, the step is shrunk by the multiplicity at the anchor and
+    optimality is judged by the subgradient condition there.  When the
+    iterates close in on an observation faster than the residual falls, or
+    stall short of it, that observation is returned, converged, if the
     subgradient condition holds there.  On non-convergence the best iterate
     seen is returned with ``converged=False``.
     """
@@ -130,8 +169,8 @@ def spatial_median(data, tol: float = 1e-10, max_iter: int = 1000) -> SpatialMed
         raise ValueError("tol must be positive")
     if max_iter < 0:
         raise ValueError("max_iter must be non-negative")
-    n, _ = X.shape
-    origin = np.median(X, axis=0)
+    n, p = X.shape
+    origin = _coordinate_median(X)
     with np.errstate(over="ignore"):
         centred = X - origin
     size = float(np.abs(centred).max())
@@ -145,14 +184,15 @@ def spatial_median(data, tol: float = 1e-10, max_iter: int = 1000) -> SpatialMed
         scale = int(np.frexp(np.abs(centred).max())[1])
         centred = np.ldexp(centred, -scale)
         exponent = halved + scale
+    newton = p * p <= n
     mu = np.zeros_like(origin)
     best_mu, best_res = mu, np.inf
     near, near_dist, last_res = -1, np.inf, np.inf
     iterations = 0
     for iterations in range(max_iter + 1):
-        pull, w, n_anchor, dist = _pull(centred, mu)
+        pull, w, n_anchor, dist, diff = _pull(centred, mu)
         if n_anchor == n:
-            return SpatialMedian(origin + np.ldexp(mu, exponent), True, iterations, 0.0)
+            return SpatialMedian(origin + np.ldexp(mu, exponent), True, iterations, 0.0, True)
         pull_norm = float(np.linalg.norm(pull))
         if not np.isfinite(pull_norm):
             break  # never read as a zero residual, as max(0.0, nan) would be
@@ -160,14 +200,26 @@ def spatial_median(data, tol: float = 1e-10, max_iter: int = 1000) -> SpatialMed
         if residual < best_res:
             best_mu, best_res = mu, residual
         if residual <= tol:
+            if n_anchor:
+                return SpatialMedian(X[np.argmin(dist)].copy(), True, iterations, residual, True)
             return SpatialMedian(origin + np.ldexp(mu, exponent), True, iterations, residual)
         if iterations == max_iter:
             break
         # step by a correction to mu: its rounding scales with the step, not
         # with |X| as a weighted mean of X would, so the residual can reach tol
-        shift = pull / w.sum()
-        if n_anchor and pull_norm > 0.0:
-            shift *= 1.0 - min(1.0, n_anchor / pull_norm)
+        newton = newton and not n_anchor and residual < last_res
+        if newton:
+            B = diff * (w * np.sqrt(w))[:, None]
+            hessian = -(B.T @ B)
+            hessian.flat[:: p + 1] += w.sum()
+            try:
+                shift = np.linalg.solve(hessian, pull)
+            except np.linalg.LinAlgError:
+                newton = False
+        if not newton:
+            shift = pull / w.sum()
+            if n_anchor and pull_norm > 0.0:
+                shift *= 1.0 - min(1.0, n_anchor / pull_norm)
         target = mu + shift
         stalled = np.array_equal(target, mu)
         nearest = int(np.argmin(dist))
@@ -176,10 +228,10 @@ def spatial_median(data, tol: float = 1e-10, max_iter: int = 1000) -> SpatialMed
         # at float precision: judge the point by its subgradient as soon as
         # the distance to it shrinks by a larger factor than the residual
         if stalled or (nearest == near and dist[nearest] * last_res < near_dist * residual):
-            anchor_pull, _, at_anchor, _ = _pull(centred, centred[nearest])
+            anchor_pull, _, at_anchor, _, _ = _pull(centred, centred[nearest])
             anchor_res = max(0.0, float(np.linalg.norm(anchor_pull)) - at_anchor)
             if anchor_res <= tol:
-                return SpatialMedian(X[nearest].copy(), True, iterations, anchor_res)
+                return SpatialMedian(X[nearest].copy(), True, iterations, anchor_res, True)
             if stalled:
                 break
         near, near_dist, last_res = nearest, dist[nearest], residual

@@ -88,6 +88,27 @@ def test_sscm_on_cross_dataset(cross_csv):
     assert payload["metadata"]["median"]["converged"] is True
 
 
+@pytest.mark.parametrize("command", ["sscm", "shape"])
+def test_median_reports_data_point(tmp_path, command):
+    # the third point minimizes the sum of distances; a Gaussian sample's
+    # median is no observation
+    rows = {
+        "point": [[1.7, 0.0], [-1.7, 1.0], [0.0, 0.0], [1.0, -1.0]],
+        "gaussian": np.random.default_rng(3).standard_normal((200, 3)).tolist(),
+    }
+    for name, expected in (("point", True), ("gaussian", False)):
+        path = tmp_path / f"{name}.csv"
+        path.write_text("".join(",".join(repr(v) for v in row) + "\n" for row in rows[name]))
+        first = run_cli(command, str(path), "--no-header")
+        assert first.returncode == 0, first.stderr
+        assert run_cli(command, str(path), "--no-header").stdout == first.stdout
+        median = json.loads(first.stdout)["metadata"]["median"]
+        assert median["converged"] is True
+        assert median["at_data_point"] is expected
+        keys = list(median)
+        assert keys.index("at_data_point") == keys.index("residual_gradient_norm") + 1
+
+
 def test_no_header_flag(tmp_path):
     path = tmp_path / "raw.csv"
     path.write_text("1,0\n-1,0\n0,1\n0,-1\n")

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from signshape import (
+    estimators,
     sample_kendall_tau,
     sample_sscm,
     spatial_median,
@@ -92,6 +94,7 @@ class TestSpatialMedian:
         med = spatial_median(np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 0.0]]))
         assert med.converged
         np.testing.assert_allclose(med.location, [1.0, 0.0], atol=1e-9)
+        assert med.at_data_point
 
     def test_symmetric_cross(self):
         med = spatial_median(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]))
@@ -103,6 +106,7 @@ class TestSpatialMedian:
         assert med.converged
         assert med.residual_gradient_norm == 0.0
         np.testing.assert_array_equal(med.location, [2.0, 3.0])
+        assert med.at_data_point
 
     def test_empty_data_rejected(self):
         with pytest.raises(ValueError):
@@ -120,6 +124,7 @@ class TestSpatialMedian:
             np.testing.assert_array_equal(med.location, X[2])
             assert med.residual_gradient_norm <= 1e-10
             assert med.iterations <= 30
+            assert med.at_data_point
 
     def test_max_iter_exhaustion_flags_not_converged(self):
         rng = np.random.default_rng(11)
@@ -161,6 +166,7 @@ class TestSpatialMedian:
         med = spatial_median(X)
         assert med.converged
         assert med.residual_gradient_norm <= 1e-10
+        assert med.iterations <= 5  # Newton steps: p^2 <= n
 
     def test_converges_far_from_origin(self):
         # rounding at |X| = 1e4 once held the residual above the default tol
@@ -170,6 +176,45 @@ class TestSpatialMedian:
             assert med.converged, f"seed={seed}"
             assert med.residual_gradient_norm <= 1e-10
             assert np.abs(med.location - 1e4).max() < 0.05
+            assert med.iterations <= 5
+            assert not med.at_data_point
+
+    @pytest.mark.parametrize("failure", ["singular", "ascent"])
+    def test_newton_falls_back_to_weiszfeld(self, monkeypatch, failure):
+        X = np.random.default_rng(8).standard_normal((2000, 5)) + 3.0
+        reference = spatial_median(X)
+        solve = np.linalg.solve
+
+        def broken(a, b):
+            if failure == "singular":
+                raise np.linalg.LinAlgError("Singular matrix")
+            return -solve(a, b)
+
+        monkeypatch.setattr(estimators.np.linalg, "solve", broken)
+        med = spatial_median(X)
+        assert med.converged
+        assert med.residual_gradient_norm <= 1e-10
+        assert med.iterations > reference.iterations
+        np.testing.assert_allclose(med.location, reference.location, rtol=0, atol=1e-12)
+
+    @given(
+        hnp.arrays(
+            float,
+            st.one_of(
+                st.tuples(st.integers(1, 40), st.integers(1, 4)),
+                st.tuples(st.integers(1, 6), st.integers(5, 40)),
+            ),
+            elements=st.one_of(
+                st.floats(-(2.0**1023), 2.0**1023, allow_subnormal=True),
+                st.sampled_from([0.0, -1.5, 2.0**1022, -(2.0**1022), 1.75 * 2.0**1022]),
+            ),
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_sort_start_is_the_coordinate_median(self, X):
+        with np.errstate(over="ignore"):
+            expected = np.median(X, axis=0)
+        np.testing.assert_array_equal(estimators._coordinate_median(X), expected)
 
     @pytest.mark.parametrize(
         "scale", [1e200, 1e-200, 2.0**600, 2.0**1022], ids=["1e200", "1e-200", "2^600", "2^1022"]
