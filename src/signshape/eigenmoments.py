@@ -199,7 +199,14 @@ def _node_sums(
     for block in _blocks(u.size, v.size):
         nodes = u[block]
         log_wb = _log_weight(nodes, v, m) if log_w is None else log_w[block]
-        g = v / np.add.outer(np.exp(-nodes), v)
+        decay = np.exp(-nodes)
+        g = v / np.add.outer(decay, v)
+        if v[-1] < _TINY:
+            # a subnormal v's g turns where e^-u is subnormal too, with few bits;
+            # there every factor of 1 / (1 + (e^(-u/2) / v) e^(-u/2)) is normal
+            low, sub = decay < _TINY, v < _TINY
+            half = np.exp(-0.5 * nodes[low])[:, None]
+            g[np.ix_(low, sub)] = 1.0 / (1.0 + half / v[sub] * half)
         if cross:
             root = np.exp(0.5 * (log_wb + log_jac[block]))
             g *= root[:, None]
@@ -250,7 +257,7 @@ def _moments(v: np.ndarray, m: np.ndarray, cfg: QuadratureConfig, cross: bool = 
     exponential convergence in 1/h (see the module docstring for the rate).
     """
     p = float(m.sum())
-    log_floor = _LOG_EPS + math.log(v[-1] / (p * v[0]))
+    log_floor = _LOG_EPS + math.log(v[-1]) - math.log(p * v[0])
     # past u = -log(v_min) every g_k >= 1/2, so log w falls by p/4 or more per
     # unit of u; top > 0, so u(top + 1) > top
     top = -math.log(v[-1]) - 4.0 * log_floor / p

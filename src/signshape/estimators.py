@@ -142,11 +142,12 @@ def spatial_median(data, tol: float = 1e-10, max_iter: int = 1000) -> SpatialMed
     """Minimize the sum of Euclidean distances to the observations.
 
     The iteration starts at the coordinate-wise median, taken from one sort
-    of the columns.  The data are centred once there, so its updates round
-    at the spread of the data rather than at their distance from the origin.
-    Centred data far from unit size are also scaled by a power of two to it,
-    which is exact, so they converge as they would at scale one.  Every
-    returned location undoes both.
+    of the columns (of the halved data, doubled back, when two middle values
+    would sum past the largest double).  The data are centred once there, so
+    its updates round at the spread of the data rather than at their distance
+    from the origin.  Centred data far from unit size are also scaled by a
+    power of two to it, which is exact, so they converge as they would at
+    scale one.  Every returned location undoes both.
 
     When p^2 <= n, where the p x p Hessian costs no more than a few
     Weiszfeld steps, each step is a Newton step: it solves H s = pull with
@@ -171,6 +172,9 @@ def spatial_median(data, tol: float = 1e-10, max_iter: int = 1000) -> SpatialMed
         raise ValueError("max_iter must be non-negative")
     n, p = X.shape
     origin = _coordinate_median(X)
+    if not np.all(np.isfinite(origin)):
+        # two middle values summed past the largest double: halve them first
+        origin = 2.0 * _coordinate_median(0.5 * X)
     with np.errstate(over="ignore"):
         centred = X - origin
     size = float(np.abs(centred).max())

@@ -1,10 +1,12 @@
 """Monte Carlo ground truth for the SSCM eigenvalue maps and asymptotics.
 
 Everything here estimates by brute-force simulation what the quadrature
-routines compute by integration, together with per-coordinate standard
-errors, and never calls the quadrature code.  All randomness flows through
-numpy's PCG64 generator (``numpy.random.default_rng``) with explicit seeds;
-replicate streams are spawned from the master seed, so results are
+routines compute by integration, and never calls the quadrature code.  One
+estimator averages w = (lam_i Y_i^2 / sum_k lam_k Y_k^2)_i, or w w^T, with
+per-coordinate standard errors over spherical Y, and one sampler draws every
+unit direction as a normalized standard Gaussian.  All randomness flows
+through numpy's PCG64 generator (``numpy.random.default_rng``) with explicit
+seeds; replicate streams are spawned from the master seed, so results are
 reproducible and independent of execution order.
 """
 
@@ -27,8 +29,13 @@ __all__ = [
 ]
 
 _CHUNK = 1_000_000
-
 _RADIAL_LAWS = ("chi", "constant", "coupled")
+
+
+def _directions(rng, count: int, p: int) -> np.ndarray:
+    """``count`` uniform draws on the unit sphere in R^p, as normalized standard Gaussians."""
+    z = rng.standard_normal((count, p))
+    return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
 def sample_spherical_direction(p: int, count: int, seed) -> np.ndarray:
@@ -37,34 +44,39 @@ def sample_spherical_direction(p: int, count: int, seed) -> np.ndarray:
         raise ValueError("dimension must be at least 1")
     if count < 1:
         raise ValueError("count must be at least 1")
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((count, p))
-    return z / np.linalg.norm(z, axis=1, keepdims=True)
+    return _directions(np.random.default_rng(seed), count, p)
 
 
-def _weight_chunks(lam: np.ndarray, draws: int, rng, radial: str, chunk: int):
-    """Chunks of w_i = lam_i Y_i^2 / sum_k lam_k Y_k^2 for spherical Y."""
+def _mc_moments(shape_spectrum, draws: int, seed, radial: str, table: bool):
+    """Mean and standard error of w, or of w w^T if ``table`` (see the module
+    docstring), over ``draws`` spherical Y drawn _CHUNK rows at a time."""
+    if draws < 1000:
+        raise ValueError("draws must be at least 1000")
     if radial not in ("chi", "constant"):
         raise ValueError(f"radial must be 'chi' or 'constant', got {radial!r}")
+    lam = _as_spectrum(shape_spectrum).values
     p = lam.size
-    left = draws
-    while left > 0:
-        take = min(chunk, left)
-        left -= take
-        y = rng.standard_normal((take, p))
-        if radial == "constant":
-            y /= np.linalg.norm(y, axis=1, keepdims=True)
+    rng = np.random.default_rng(seed)
+    acc = np.zeros((p, p) if table else p)
+    acc_sq = np.zeros_like(acc)
+    for start in range(0, draws, _CHUNK):
+        take = min(_CHUNK, draws - start)
+        y = _directions(rng, take, p) if radial == "constant" else rng.standard_normal((take, p))
         t = np.square(y) * lam
-        yield t / t.sum(axis=1, keepdims=True)
+        w = t / t.sum(axis=1, keepdims=True)
+        if table:
+            acc += w.T @ w
+            w2 = np.square(w)
+            acc_sq += w2.T @ w2
+        else:
+            acc += w.sum(axis=0)
+            acc_sq += np.square(w).sum(axis=0)
+    mean = acc / draws
+    variance = np.clip(acc_sq / draws - np.square(mean), 0.0, None)
+    return mean, np.sqrt(variance / draws)
 
 
-def mc_sscm_eigenvalues(
-    shape_spectrum,
-    draws: int = 1_000_000,
-    seed=0,
-    radial: str = "chi",
-    chunk: int = _CHUNK,
-):
+def mc_sscm_eigenvalues(shape_spectrum, draws: int = 1_000_000, seed=0, radial: str = "chi"):
     """Monte Carlo estimate of the SSCM eigenvalues for given shape eigenvalues.
 
     Averages lam_i Y_i^2 / sum_k lam_k Y_k^2 over ``draws`` spherical vectors
@@ -76,46 +88,16 @@ def mc_sscm_eigenvalues(
     coordinate order (sampling noise may violate the descending-order
     invariant between near-tied coordinates, so no Spectrum is built).
     """
-    if draws < 1000:
-        raise ValueError("draws must be at least 1000")
-    lam = _as_spectrum(shape_spectrum).values
-    rng = np.random.default_rng(seed)
-    acc = np.zeros(lam.size)
-    acc_sq = np.zeros(lam.size)
-    for w in _weight_chunks(lam, draws, rng, radial, chunk):
-        acc += w.sum(axis=0)
-        acc_sq += np.square(w).sum(axis=0)
-    mean = acc / draws
-    variance = np.clip(acc_sq / draws - np.square(mean), 0.0, None)
-    return mean, np.sqrt(variance / draws)
+    return _mc_moments(shape_spectrum, draws, seed, radial, table=False)
 
 
-def mc_sign_fourth_moments(
-    shape_spectrum,
-    draws: int = 1_000_000,
-    seed=0,
-    radial: str = "chi",
-    chunk: int = _CHUNK,
-):
+def mc_sign_fourth_moments(shape_spectrum, draws: int = 1_000_000, seed=0, radial: str = "chi"):
     """Monte Carlo estimate of the fourth-moment table E[s_i^2 s_j^2].
 
     Same sampling scheme as :func:`mc_sscm_eigenvalues` with the
     squared-denominator integrand.  Returns ``(table, standard_errors)``.
     """
-    if draws < 1000:
-        raise ValueError("draws must be at least 1000")
-    lam = _as_spectrum(shape_spectrum).values
-    p = lam.size
-    rng = np.random.default_rng(seed)
-    acc = np.zeros((p, p))
-    acc_sq = np.zeros((p, p))
-    for w in _weight_chunks(lam, draws, rng, radial, chunk):
-        acc += w.T @ w
-        w2 = np.square(w)
-        acc_sq += w2.T @ w2
-    mean = acc / draws
-    variance = np.clip(acc_sq / draws - np.square(mean), 0.0, None)
-    return mean, np.sqrt(variance / draws)
+    return _mc_moments(shape_spectrum, draws, seed, radial, table=True)
 
 
 @dataclass
@@ -166,8 +148,7 @@ class EllipticalSampler:
         if count < 1:
             raise ValueError("count must be at least 1")
         p = self.p
-        u = rng.standard_normal((count, p))
-        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        u = _directions(rng, count, p)
         if self.radial == "chi":
             r = np.sqrt(rng.chisquare(p, size=count))
         elif self.radial == "constant":
@@ -187,7 +168,6 @@ def mc_sampling_distribution(
     replicates: int,
     seed,
     median_tol: float = 1e-10,
-    median_max_iter: int = 1000,
     return_replicates: bool = False,
 ):
     """Sampling distribution of the SSCM over independent replicates.
@@ -209,7 +189,7 @@ def mc_sampling_distribution(
     for r, child in enumerate(children):
         rng = np.random.default_rng(child)
         sample = sampler.draw(n, rng)
-        est = sample_sscm(sample, tol=median_tol, max_iter=median_max_iter)
+        est = sample_sscm(sample, tol=median_tol)
         vecs[r] = est.matrix.ravel()
     mean_vec = vecs.mean(axis=0)
     centered = np.sqrt(n) * (vecs - mean_vec)

@@ -109,6 +109,16 @@ def test_median_reports_data_point(tmp_path, command):
         assert keys.index("at_data_point") == keys.index("residual_gradient_norm") + 1
 
 
+def test_sscm_at_the_end_of_the_double_range(tmp_path, capsys):
+    # the two middle values of the first column sum past the largest double
+    path = tmp_path / "huge.csv"
+    path.write_text("1.7e308,0\n1.7e308,1\n")
+    assert cli.main(["sscm", str(path), "--no-header"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["metadata"]["median"]["converged"] is True
+    assert payload["metadata"]["center"] == [1.7e308, 0.5]
+
+
 def test_no_header_flag(tmp_path):
     path = tmp_path / "raw.csv"
     path.write_text("1,0\n-1,0\n0,1\n0,-1\n")

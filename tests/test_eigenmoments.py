@@ -97,10 +97,12 @@ class TestSscmEigenvalues:
             np.testing.assert_allclose(out.values, two_dim_closed_form(lam), atol=1e-10)
 
     def test_two_dim_closed_form_extreme_ratios(self):
-        # eigenvalue ratios log-uniform down to 1e-300, each entry to 1e-12 relative
+        # eigenvalue ratios log-uniform down to 1e-300, then subnormal ones down
+        # to the smallest double, each entry to 1e-12 relative
         rng = np.random.default_rng(11)
-        for exponent in np.append(rng.uniform(-300.0, 0.0, 40), -300.0):
-            lam = np.array([1.0, 10.0**exponent]) / (1.0 + 10.0**exponent)
+        exponents = np.append(rng.uniform(-300.0, 0.0, 40), -300.0)
+        for ratio in np.append(10.0**exponents, [1e-310, 1e-320, 5e-324]):
+            lam = np.array([1.0, ratio]) / (1.0 + ratio)
             out = sscm_eigenvalues(lam)
             np.testing.assert_allclose(out.values, two_dim_closed_form(lam), rtol=1e-12, atol=0)
 
@@ -158,6 +160,20 @@ class TestSscmEigenvalues:
         with pytest.raises(QuadratureError) as err:
             sscm_eigenvalues([0.99, 0.009, 0.001], cfg)
         assert err.value.residual > 0.0
+
+    def test_unit_sum_defect_raises_with_residual(self, monkeypatch):
+        # node sums one part in 10^6 high leave the level gaps as they were, so the
+        # step converges, but the eigenvalue integrals then sum to 1 + 1e-6
+        node_sums = eigenmoments._node_sums
+
+        def inflated(*args, **kwargs):
+            values, table = node_sums(*args, **kwargs)
+            return values * (1.0 + 1e-6), table
+
+        monkeypatch.setattr(eigenmoments, "_node_sums", inflated)
+        with pytest.raises(QuadratureError, match="sum to") as err:
+            sscm_eigenvalues([0.6, 0.3, 0.1])
+        assert err.value.residual == pytest.approx(1e-6, rel=1e-6)
 
     @pytest.mark.parametrize("rel_tol", [1e-6, 1e-10, 1e-14])
     @pytest.mark.parametrize("ratio", [1.0, 0.5, 1e-2, 1e-12, 1e-100, 1e-300])

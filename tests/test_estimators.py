@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -215,6 +217,28 @@ class TestSpatialMedian:
         with np.errstate(over="ignore"):
             expected = np.median(X, axis=0)
         np.testing.assert_array_equal(estimators._coordinate_median(X), expected)
+
+    def test_start_on_a_row_takes_the_anchor_step(self):
+        # the coordinate-wise median (0, 0) is a row: the first step is the
+        # Weiszfeld step shrunk by the multiplicity at that anchor
+        X = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [0.0, 10.0], [0.0, 11.0]])
+        np.testing.assert_array_equal(estimators._coordinate_median(X), X[0])
+        med = spatial_median(X)
+        assert med.converged and not med.at_data_point
+        assert med.residual_gradient_norm <= 1e-10
+        diff = X - med.location
+        pull = (diff / np.linalg.norm(diff, axis=1)[:, None]).sum(axis=0)
+        assert np.linalg.norm(pull) <= 1e-9
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_two_middle_values_summing_past_the_largest_double(self, sign):
+        # (s[h-1] + s[h]) / 2 overflows to inf there, as np.median does
+        X = np.array([[1.7e308, 0.0], [1.7e308, 1.0]]) * [sign, 1.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            med = spatial_median(X)
+        assert med.converged and med.iterations == 0
+        np.testing.assert_array_equal(med.location, [sign * 1.7e308, 0.5])
 
     @pytest.mark.parametrize(
         "scale", [1e200, 1e-200, 2.0**600, 2.0**1022], ids=["1e200", "1e-200", "2^600", "2^1022"]

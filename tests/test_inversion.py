@@ -44,7 +44,7 @@ class TestShapeEigenvalues:
             assert np.abs(res.spectrum.values / lam - 1.0).max() <= 1e-8
 
     @pytest.mark.parametrize("p", [2, 3, 5])
-    @pytest.mark.parametrize("ratio", [1e-10, 1e-12, 1e-200, 1e-300])
+    @pytest.mark.parametrize("ratio", [1e-10, 1e-12, 1e-200, 1e-300, 1e-310, 1e-320, 5e-324])
     def test_round_trip_geometric_spectra(self, p, ratio):
         lam = ratio ** (np.arange(p) / (p - 1))
         lam /= lam.sum()
@@ -131,6 +131,20 @@ class TestShapeEigenvalues:
         res = shape_eigenvalues([0.6, 0.3, 0.1])
         assert (res.stop, res.iterations, res.converged) == ("no_descent", 1, False)
         assert res.relative_residual > 1e-9
+
+    @pytest.mark.parametrize("lam", [[1.0, 1e-310, 1e-320], [1.0, 1e-320, 1e-320, 0.0]])
+    def test_round_trip_several_subnormal_values(self, lam):
+        lam = np.array(lam) / sum(lam)
+        res = shape_eigenvalues(sscm_eigenvalues(lam))
+        assert res.converged and res.stop == "converged"
+        np.testing.assert_allclose(res.spectrum.values, lam, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("ratio", [1e-160, 1e-170, 1e-300])
+    def test_preimage_beyond_the_double_range_stops_typed(self, ratio):
+        # the preimage ratio is ratio^2: subnormal with a few bits, or below
+        # the smallest double, so the iteration ends with a reason, not a raise
+        res = shape_eigenvalues([1.0, ratio])
+        assert not res.converged and res.stop == "no_descent"
 
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError):

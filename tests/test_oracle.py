@@ -137,6 +137,14 @@ class TestEllipticalSampler:
         cov = draws.T @ draws / draws.shape[0]
         np.testing.assert_allclose(cov, A @ A.T, atol=0.02)
 
+    def test_constant_radial_rows_lie_on_the_ellipsoid(self):
+        A = np.array([[2.0, 0.0, 0.0], [0.5, 1.0, 0.0], [0.3, -0.2, 0.7]])
+        loc = np.array([1.0, -2.0, 3.0])
+        sampler = EllipticalSampler(shape_root=A, radial="constant", location=loc, seed=34)
+        draws = sampler.sample(1000)
+        radii = np.linalg.norm(np.linalg.solve(A, (draws - loc).T), axis=0)
+        np.testing.assert_allclose(radii, 1.0, rtol=0, atol=1e-12)
+
     def test_coupled_radial_is_symmetric_about_location(self):
         sampler = EllipticalSampler(shape_root=np.diag([2.0, 1.0]), radial="coupled", seed=33)
         draws = sampler.sample(400_000)
