@@ -171,6 +171,18 @@ def _median_metadata(est) -> dict | None:
     }
 
 
+def _rank_metadata(shape) -> dict:
+    """The rank decision of ``sscm_eigensystem``: the nonzero eigenvalues, the
+    threshold relative to the largest below which they were zeroed, and
+    whether they came from the n x n Gram matrix."""
+    p, r = shape.eigenvectors.shape
+    return {
+        "rank": int(np.count_nonzero(shape.sscm_spectrum.values)),
+        "relative_threshold": p * float(np.finfo(float).eps),
+        "gram": r < p,
+    }
+
+
 def _cmd_sscm(args):
     data = _read_csv(args.data, args.no_header)
     est = sample_sscm(data, tol=args.tol, max_iter=args.max_iter)
@@ -242,6 +254,7 @@ def _cmd_shape(args):
             "p": est.matrix.shape[0],
             "trace": float(np.trace(shape.matrix)),
             "median": _median_metadata(est),
+            "rank": _rank_metadata(shape),
             "tol": args.tol,
             "rel_tol": cfg.rel_tol,
             "max_iter": args.max_iter,

@@ -362,6 +362,11 @@ def sscm_eigenvalues(shape_spectrum, cfg: QuadratureConfig | None = None) -> Spe
         without quadrature, and the result is renormalized to sum one.  A
         pre-normalization defect above ``10 * cfg.rel_tol``, or a step that
         cannot be refined to ``cfg.rel_tol``, raises :class:`QuadratureError`.
+        An SSCM eigenvalue that is itself subnormal sums subnormal terms and
+        can be off by about 1e-4 relative, which the quadrature's error
+        estimate does not see: ``[2/3, 1/3, 6.66e-321]`` maps its last entry
+        to 5.19877e-318, against 5.19795e-318 from a 40-digit quadrature,
+        with an error estimate of 4.7e-15.
     """
     return _descending(_per_entry(shape_spectrum, cfg).values)
 

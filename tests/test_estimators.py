@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -229,6 +230,8 @@ class TestSpatialMedian:
         diff = X - med.location
         pull = (diff / np.linalg.norm(diff, axis=1)[:, None]).sum(axis=0)
         assert np.linalg.norm(pull) <= 1e-9
+        # the anchor step skips Newton for that one step only
+        assert med.iterations <= 10
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_two_middle_values_summing_past_the_largest_double(self, sign):
@@ -349,6 +352,26 @@ class TestSampleSscm:
         expected = np.array([spatial_sign(row) for row in X - est.center])
         np.testing.assert_allclose(est.signs, expected, rtol=0, atol=1e-15)
         np.testing.assert_array_equal(est.matrix, est.signs.T @ est.signs / 6)
+
+    @pytest.mark.parametrize("n, p", [(50, 400), (2000, 5)])
+    def test_matrix_is_formed_from_the_signs_on_first_read(self, n, p):
+        X = np.random.default_rng(28).standard_normal((n, p))
+        est = sample_sscm(X)
+        assert est._matrix is None
+        mat = est.matrix
+        np.testing.assert_array_equal(mat, est.signs.T @ est.signs / n)
+        assert est.matrix is mat
+        assert "matrix" not in {f.name for f in dataclasses.fields(est)}
+
+    def test_given_matrix_is_kept(self):
+        X = np.random.default_rng(29).standard_normal((20, 3))
+        kendall = sample_kendall_tau(X)
+        assert kendall.signs is None and kendall.matrix is kendall.matrix
+        mat = np.eye(3) / 3
+        assert estimators.SscmEstimate(mat, "sscm", 10, np.zeros(3)).matrix is mat
+        assert estimators.SscmEstimate(matrix=mat, kind="sscm", n_used=10, center=None).matrix is mat
+        with pytest.raises(ValueError):
+            estimators.SscmEstimate(None, "sscm", 10, np.zeros(3))
 
     def test_rejects_bad_center_shape(self):
         with pytest.raises(ValueError):

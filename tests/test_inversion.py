@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -259,6 +262,33 @@ class TestEstimateShape:
         shape = estimate_shape(est)
         assert sizes == [(n, n)]
         assert shape.matrix.shape == (p, p)
+
+    @pytest.mark.parametrize("n, p", [(40, 120), (500, 6)])
+    def test_matrix_is_reassembled_on_first_read(self, n, p):
+        X = np.random.default_rng(56).standard_normal((n, p)) * np.linspace(2.0, 0.5, p)
+        shape = estimate_shape(sample_sscm(X))
+        assert shape._matrix is None
+        # at n >= p the SSCM is decomposed densely, so its matrix is read
+        assert (shape.source._matrix is None) == (n < p)
+        lam = shape.inversion.spectrum.values[: np.count_nonzero(shape.sscm_spectrum.values)]
+        root = shape.eigenvectors[:, : lam.size] * np.sqrt(lam)
+        mat = shape.matrix
+        np.testing.assert_array_equal(mat, root @ root.T)
+        np.testing.assert_array_equal(mat, mat.T)
+        assert shape.matrix is mat
+        assert "matrix" not in {f.name for f in dataclasses.fields(shape)}
+
+    def test_wide_estimate_holds_no_p_by_p_array(self):
+        # each p x p matrix is 32 MB at p = 2000; signs and eigenvectors are 0.8 MB
+        X = np.random.default_rng(57).standard_normal((50, 2000))
+        tracemalloc.start()
+        try:
+            shape = estimate_shape(sample_sscm(X))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert shape.inversion.converged
+        assert peak < 8e6, peak
 
     def test_failure_carries_partial_result(self):
         est = SscmEstimate(
