@@ -15,7 +15,7 @@ Input CSV files hold one observation per row.  The first row is treated as a
 header and skipped unless ``--no-header`` is given.  Results are written to
 standard output as a single JSON object (default) or as a bare CSV matrix;
 each float is written as the shortest text that round-trips exactly.  Exit
-codes: 0 success, 1 invalid input, 2 numerical non-convergence.
+codes: 0 success, 1 invalid input or out of memory, 2 no convergence.
 """
 
 from __future__ import annotations
@@ -475,8 +475,8 @@ def main(argv=None) -> int:
         payload, csv_payload, status = args.func(args)
         if payload is not None:
             _emit(payload, csv_payload, args.output)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return _INVALID_INPUT
     except (QuadratureError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)

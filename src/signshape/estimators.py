@@ -13,6 +13,7 @@ on the p x p Hessian when p^2 <= n, Weiszfeld steps otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -96,9 +97,10 @@ class SpatialMedian:
     ``residual_gradient_norm`` is the distance of zero from the
     subdifferential of mu -> sum_i |x_i - mu| at ``location``; it is at most
     the requested tolerance whenever ``converged`` is true.  ``iterations``
-    counts the steps taken, Newton and Weiszfeld alike.  ``at_data_point`` is
-    true when ``location`` is returned as an observation: the iteration
-    ended on a data point, or every observation is at the same point.
+    counts the steps taken, Newton and Weiszfeld alike; a Newton step that is
+    tried and not kept is not one.  ``at_data_point`` is true when
+    ``location`` is returned as an observation: the iteration ended on a
+    data point, or every observation is at the same point.
     """
 
     location: np.ndarray
@@ -109,9 +111,10 @@ class SpatialMedian:
 
 
 def _pull(X: np.ndarray, mu: np.ndarray) -> tuple:
-    """Sum of the unit vectors from mu to the rows of X not at mu, the inverse
-    distances of those rows, the number of rows at mu, every distance and
-    every difference X - mu.
+    """The gradient residual at mu (nan when not finite), the sum of the unit
+    vectors from mu to the rows of X not at mu, the inverse distances of
+    those rows, the number of rows at mu, every distance and every
+    difference X - mu.
 
     When no row is at mu, as is usual, the differences and distances are used
     as they are, with no masked copies.
@@ -119,12 +122,11 @@ def _pull(X: np.ndarray, mu: np.ndarray) -> tuple:
     diff = X - mu
     dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
     n_anchor = int(np.count_nonzero(dist == 0.0))
-    if n_anchor:
-        away = dist != 0.0
-        w = 1.0 / dist[away]
-        return w @ diff[away], w, n_anchor, dist, diff
-    w = 1.0 / dist
-    return w @ diff, w, 0, dist, diff
+    away = dist != 0.0 if n_anchor else slice(None)
+    w = 1.0 / dist[away]
+    pull = w @ diff[away]
+    # max keeps its first argument unless the second is larger: nan stays nan
+    return max(float(np.linalg.norm(pull)) - n_anchor, 0.0), pull, w, n_anchor, dist, diff
 
 
 def _coordinate_median(X: np.ndarray) -> np.ndarray:
@@ -151,21 +153,23 @@ def spatial_median(data, tol: float = 1e-10, max_iter: int = 1000) -> SpatialMed
     scale one.  Every returned location undoes both.
 
     When p^2 <= n, where the p x p Hessian costs no more than a few
-    Weiszfeld steps, each step is a Newton step: it solves H s = pull with
+    Weiszfeld steps, each step tries a Newton step: it solves H s = pull with
     H = (sum w) I - B^T B, B the differences scaled by w^(3/2) and w the
-    inverse distances.  A row at the iterate makes that one step a Weiszfeld
-    step.  The first time the solve fails or a Newton step does not lower
-    the residual, the iteration falls back to Weiszfeld steps for good;
-    those converge from any point.
+    inverse distances.  The step, or else its half, quarter or eighth, is
+    kept when it lowers the summed distances by more than their rounding, or
+    lowers the residual without raising them by more.  A row at the iterate,
+    a failed solve or no step kept makes that one step a Weiszfeld step,
+    which lowers the summed distances from any point; the next step tries
+    Newton again.
 
-    Otherwise, and after a fallback, each step is a damped Weiszfeld step
-    with the anchor-point correction: when the iterate coincides with data
-    points, the step is shrunk by the multiplicity at the anchor and
-    optimality is judged by the subgradient condition there.  When the
-    iterates close in on an observation faster than the residual falls, or
-    stall short of it, that observation is returned, converged, if the
-    subgradient condition holds there.  On non-convergence the best iterate
-    seen is returned with ``converged=False``.
+    Otherwise each step is a damped Weiszfeld step with the anchor-point
+    correction: when the iterate coincides with data points, the step is
+    shrunk by the multiplicity at the anchor and optimality is judged by the
+    subgradient condition there.  When the iterates close in on an
+    observation faster than the residual falls, or stall short of it, that
+    observation is returned, converged, if the subgradient condition holds
+    there.  On non-convergence the best iterate seen is returned with
+    ``converged=False``.
     """
     X = _as_data_matrix(data)
     if tol <= 0.0:
@@ -191,19 +195,14 @@ def spatial_median(data, tol: float = 1e-10, max_iter: int = 1000) -> SpatialMed
         centred = np.ldexp(centred, -scale)
         exponent = halved + scale
     newton = p * p <= n
-    stepped = False  # whether the last step was a Newton step
     mu = np.zeros_like(origin)
     best_mu, best_res = mu, np.inf
     near, near_dist, last_res = -1, np.inf, np.inf
-    iterations = 0
-    for iterations in range(max_iter + 1):
-        pull, w, n_anchor, dist, diff = _pull(centred, mu)
-        if n_anchor == n:
-            return SpatialMedian(origin + np.ldexp(mu, exponent), True, iterations, 0.0, True)
-        pull_norm = float(np.linalg.norm(pull))
-        if not np.isfinite(pull_norm):
-            break  # never read as a zero residual, as max(0.0, nan) would be
-        residual = max(0.0, pull_norm - n_anchor)
+    trial = None
+    for iterations in range(max_iter + 1):  # at least once, as max_iter >= 0
+        residual, pull, w, n_anchor, dist, diff = trial or _pull(centred, mu)
+        if not np.isfinite(residual):
+            break
         if residual < best_res:
             best_mu, best_res = mu, residual
         if residual <= tol:
@@ -214,23 +213,36 @@ def spatial_median(data, tol: float = 1e-10, max_iter: int = 1000) -> SpatialMed
             break
         # step by a correction to mu: its rounding scales with the step, not
         # with |X| as a weighted mean of X would, so the residual can reach tol
-        if stepped and residual >= last_res:
-            newton = False  # a Newton step that did not descend ends Newton for good
-        # a row at the iterate has no Hessian: take one Weiszfeld step from there
-        stepped = newton and not n_anchor
-        if stepped:
+        trial = None
+        if newton and not n_anchor:  # a row at the iterate has no Hessian
             B = diff * (w * np.sqrt(w))[:, None]
             hessian = -(B.T @ B)
             hessian.flat[:: p + 1] += w.sum()
             try:
-                shift = np.linalg.solve(hessian, pull)
+                step = np.linalg.solve(hessian, pull)
             except np.linalg.LinAlgError:
-                newton = stepped = False
-        if not stepped:
+                pass
+            else:
+                # near a data point the quadratic model overshoots, and the
+                # residual alone lets such steps cycle: judge them by the summed
+                # distances too, which a Weiszfeld step always lowers, and by the
+                # residual within 32 eps of that pairwise sum, its rounding
+                total = dist.sum()
+                slack = 32 * np.finfo(float).eps * total
+                for _ in range(4):  # the step and three halvings
+                    target = mu + step
+                    trial = _pull(centred, target)
+                    rise = trial[4].sum() - total
+                    if rise < -slack or rise <= slack and trial[0] < residual:
+                        break
+                    step /= 2
+                else:
+                    trial = None
+        if trial is None:
             shift = pull / w.sum()
-            if n_anchor and pull_norm > 0.0:
-                shift *= 1.0 - min(1.0, n_anchor / pull_norm)
-        target = mu + shift
+            if n_anchor:  # here |pull| > n_anchor, as the residual is positive
+                shift *= 1.0 - n_anchor / float(np.linalg.norm(pull))
+            target = mu + shift
         stalled = np.array_equal(target, mu)
         nearest = int(np.argmin(dist))
         # toward a data point that minimizes, the iterates close in only
@@ -238,8 +250,7 @@ def spatial_median(data, tol: float = 1e-10, max_iter: int = 1000) -> SpatialMed
         # at float precision: judge the point by its subgradient as soon as
         # the distance to it shrinks by a larger factor than the residual
         if stalled or (nearest == near and dist[nearest] * last_res < near_dist * residual):
-            anchor_pull, _, at_anchor, _, _ = _pull(centred, centred[nearest])
-            anchor_res = max(0.0, float(np.linalg.norm(anchor_pull)) - at_anchor)
+            anchor_res = _pull(centred, centred[nearest])[0]
             if anchor_res <= tol:
                 return SpatialMedian(X[nearest].copy(), True, iterations, anchor_res, True)
             if stalled:
@@ -277,21 +288,20 @@ class SscmEstimate:
     signs: np.ndarray | None = None
 
     def __init__(self, matrix, kind, n_used, center, median=None, signs=None):
-        if matrix is None and signs is None:
+        if matrix is not None:
+            self.matrix = matrix
+        elif signs is None:
             raise ValueError("an SscmEstimate needs its matrix or its spatial signs")
-        self._matrix = matrix
         self.kind, self.n_used, self.center = kind, n_used, center
         self.median, self.signs = median, signs
 
-    @property
+    @cached_property
     def matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            # numpy forms S^T S as a symmetric rank-k update: exactly symmetric as it is;
-            # dividing in place gives the bits of S^T S / n without a second p x p array
-            mat = self.signs.T @ self.signs
-            mat /= self.n_used
-            self._matrix = mat
-        return self._matrix
+        # numpy forms S^T S as a symmetric rank-k update: exactly symmetric as it is;
+        # dividing in place gives the bits of S^T S / n without a second p x p array
+        mat = self.signs.T @ self.signs
+        mat /= self.n_used
+        return mat
 
 
 def sample_sscm(

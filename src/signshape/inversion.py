@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -208,17 +209,13 @@ class ShapeEstimate:
     sscm_spectrum: Spectrum
     eigenvectors: np.ndarray
 
-    _matrix = None  # not annotated, so not a field: fields(), repr and == never read it
-
-    @property
+    @cached_property
     def matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            # zero SSCM eigenvalues map to zero shape eigenvalues
-            lam = self.inversion.spectrum.values[: np.count_nonzero(self.sscm_spectrum.values)]
-            # numpy forms R R^T as a symmetric rank-k update: exactly symmetric, half the flops
-            root = self.eigenvectors[:, : lam.size] * np.sqrt(lam)
-            self._matrix = root @ root.T
-        return self._matrix
+        # zero SSCM eigenvalues map to zero shape eigenvalues
+        lam = self.inversion.spectrum.values[: np.count_nonzero(self.sscm_spectrum.values)]
+        # numpy forms R R^T as a symmetric rank-k update: exactly symmetric, half the flops
+        root = self.eigenvectors[:, : lam.size] * np.sqrt(lam)
+        return root @ root.T
 
 
 def estimate_shape(

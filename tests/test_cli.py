@@ -422,6 +422,24 @@ def test_per_command_defaults(argv, tol, max_iter):
         assert cli.main(argv + ["--" + dest.replace("_", "-"), "1"]) == 1
 
 
+_NO_MEMORY = "Unable to allocate 15.2 GiB for an array with shape (45150, 45150) and data type float64"
+
+
+@pytest.mark.parametrize("message, line", [(_NO_MEMORY, _NO_MEMORY), ("", "MemoryError")])
+def test_out_of_memory_exits_one(tmp_path, monkeypatch, capsys, message, line):
+    # a wide CSV asks numpy for a p^4 W it cannot allocate
+    def too_large(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "sscm_asymptotic_cov", too_large)
+    path = tmp_path / "data.csv"
+    np.savetxt(path, np.random.default_rng(30).standard_normal((8, 3)), delimiter=",")
+    assert cli.main(["asymcov", str(path), "--no-header"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {line}\n"
+
+
 def test_invalid_spectrum_exits_one():
     assert run_cli("map", "--lambdas", "0.5,-0.5").returncode == 1
     assert run_cli("map", "--lambdas", "0.5,zebra").returncode == 1

@@ -18,6 +18,10 @@ from signshape import (
 finite_coords = st.floats(allow_nan=False, allow_infinity=False)
 
 
+def _normal(seed, n):
+    return np.random.default_rng(seed).standard_normal((n, 2))
+
+
 def test_spatial_sign_scales_to_unit():
     np.testing.assert_allclose(spatial_sign([3.0, 4.0]), [0.6, 0.8], rtol=0, atol=1e-15)
 
@@ -111,6 +115,16 @@ class TestSpatialMedian:
         np.testing.assert_array_equal(med.location, [2.0, 3.0])
         assert med.at_data_point
 
+    def test_identical_rows_return_the_row(self):
+        # every row is at the start: the residual exit returns that row as it
+        # is, signed zero included
+        x = np.array([1.5, -0.0, 3e300, -(2.0**-1074)])
+        med = spatial_median(np.tile(x, (6, 1)))
+        assert med.location.tobytes() == x.tobytes()
+        assert med.converged and med.at_data_point
+        assert med.iterations == 0
+        assert med.residual_gradient_norm == 0.0
+
     def test_empty_data_rejected(self):
         with pytest.raises(ValueError):
             spatial_median(np.empty((0, 3)))
@@ -199,6 +213,65 @@ class TestSpatialMedian:
         assert med.residual_gradient_norm <= 1e-10
         assert med.iterations > reference.iterations
         np.testing.assert_allclose(med.location, reference.location, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("failure", ["singular", "ascent"])
+    def test_one_bad_newton_step_costs_one_weiszfeld_step(self, monkeypatch, failure):
+        X = np.random.default_rng(8).standard_normal((2000, 5)) + 3.0
+        reference = spatial_median(X)
+        solve = np.linalg.solve
+        calls = []
+
+        def first_broken(a, b):
+            calls.append(None)
+            if len(calls) > 1:
+                return solve(a, b)
+            if failure == "singular":
+                raise np.linalg.LinAlgError("Singular matrix")
+            return -solve(a, b)
+
+        monkeypatch.setattr(estimators.np.linalg, "solve", first_broken)
+        med = spatial_median(X)
+        assert med.converged
+        assert med.residual_gradient_norm <= 1e-10
+        # Newton resumes after the one Weiszfeld step
+        assert med.iterations <= reference.iterations + 1
+        np.testing.assert_allclose(med.location, reference.location, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "X",
+        [
+            # Newton ended for good after one step that did not lower the
+            # residual, and Weiszfeld steps crept for 56 and 176 iterations
+            np.array([[0, 0], [1, 0], [2, 0], [0, 10], [0, 11]]) + 1e-3 * _normal(0, 5),
+            _normal(0, 5) * [1, 5],
+            # Newton steps kept whenever they lower the residual cycle on the
+            # first two, and kept whenever they lower the residual or the
+            # summed distances on the third
+            _normal(1087, 5) * [1, 5],
+            _normal(116, 5) * [1, 5],
+            _normal(563, 10) * [1, 5],
+            # beside an observation, or on a nearly flat valley, whole Newton
+            # steps overshoot: Weiszfeld steps alone stop short of tol in 1000
+            # iterations on the first two, and without halved Newton steps the
+            # last two take 168 iterations, or stop short
+            _normal(658, 5) * [1, 5],
+            _normal(1400, 5) * [1, 5],
+            _normal(206, 6) * [1, 5],
+            _normal(152, 4) * [1, 1e-3],
+        ],
+        ids=["jittered-anchor", "stretched", "cycle-1087", "cycle-116", "cycle-563", "creep-658", "creep-1400",
+             "beside-206", "valley-152"],
+    )
+    def test_newton_steps_neither_creep_nor_cycle(self, X):
+        med = spatial_median(X)
+        assert med.converged
+        assert med.residual_gradient_norm <= 1e-10
+        assert med.iterations <= 12
+        diff = X - med.location
+        dist = np.linalg.norm(diff, axis=1)
+        away = dist > 0.0
+        pull = (diff[away] / dist[away, None]).sum(axis=0)
+        assert np.linalg.norm(pull) - np.count_nonzero(~away) <= 1e-9
 
     @given(
         hnp.arrays(
@@ -357,7 +430,7 @@ class TestSampleSscm:
     def test_matrix_is_formed_from_the_signs_on_first_read(self, n, p):
         X = np.random.default_rng(28).standard_normal((n, p))
         est = sample_sscm(X)
-        assert est._matrix is None
+        assert "matrix" not in vars(est)
         mat = est.matrix
         np.testing.assert_array_equal(mat, est.signs.T @ est.signs / n)
         assert est.matrix is mat

@@ -267,9 +267,9 @@ class TestEstimateShape:
     def test_matrix_is_reassembled_on_first_read(self, n, p):
         X = np.random.default_rng(56).standard_normal((n, p)) * np.linspace(2.0, 0.5, p)
         shape = estimate_shape(sample_sscm(X))
-        assert shape._matrix is None
+        assert "matrix" not in vars(shape)
         # at n >= p the SSCM is decomposed densely, so its matrix is read
-        assert (shape.source._matrix is None) == (n < p)
+        assert ("matrix" not in vars(shape.source)) == (n < p)
         lam = shape.inversion.spectrum.values[: np.count_nonzero(shape.sscm_spectrum.values)]
         root = shape.eigenvectors[:, : lam.size] * np.sqrt(lam)
         mat = shape.matrix
