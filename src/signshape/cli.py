@@ -216,6 +216,7 @@ def _cmd_kendall(args):
             "kind": est.kind,
             "trace": float(np.trace(est.matrix)),
             "center": None,
+            "pairs": est.pairs._asdict(),
         },
     }
     return payload, est.matrix, _OK

@@ -3,21 +3,26 @@ sample spatial sign covariance matrix (SSCM) plus its pairwise-difference
 variant, the spatial Kendall's tau matrix.
 
 All functions are pure and safe to call concurrently; two threads that
-form the same estimate's matrix at once write the same bits.  Both matrix
-estimators reduce to one kernel, the spatial signs S of the rows of a
-difference matrix, and sum s s^T over them as S^T S.  The spatial median
-starts at the coordinate-wise median, from one sort, and takes Newton steps
-on the p x p Hessian when p^2 <= n, Weiszfeld steps otherwise.
+form the same estimate's matrix at once write the same bits.  The SSCM
+sums s s^T over the spatial signs S of the centred rows as S^T S.  Kendall's
+tau sums them over all pairwise differences as a Laplacian form of the
+centred data, built from blocked Gram GEMMs; the pairs whose weights those
+GEMMs cannot resolve accurately go through the same sign kernel as the SSCM,
+difference by difference.  The spatial median starts at the coordinate-wise
+median, from one sort, and takes Newton steps on the p x p Hessian when
+p^2 <= n, Weiszfeld steps otherwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
+    "PairCounts",
     "SpatialMedian",
     "SscmEstimate",
     "sample_kendall_tau",
@@ -58,6 +63,12 @@ def spatial_sign(x) -> np.ndarray:
 _HALF_MAX = np.finfo(float).max / 2
 # squared norms below the smallest normal double have lost precision
 _TINY = np.finfo(float).tiny
+# Kendall's tau sums its pairs in blocks of this many rows by this many; a pair
+# takes the Gram path when its squared distance exceeds this share of r_i + r_j
+_BLOCK = 512
+_GRAM_SHARE = 1.0 / 16
+# doubles per chunk of differences formed on Kendall's direct path
+_CHUNK = 1 << 20
 
 
 def _overflow_safe(*arrays: np.ndarray) -> tuple:
@@ -260,6 +271,15 @@ def spatial_median(data, tol: float = 1e-10, max_iter: int = 1000) -> SpatialMed
     return SpatialMedian(origin + np.ldexp(best_mu, exponent), best_res <= tol, iterations, best_res)
 
 
+class PairCounts(NamedTuple):
+    """Pairs of a Kendall's tau matrix: all of them, those with a zero
+    difference, and those whose signs were formed from their differences."""
+
+    total: int
+    zero: int
+    direct: int
+
+
 @dataclass(init=False)
 class SscmEstimate:
     """A sample spatial sign covariance matrix with its provenance.
@@ -279,6 +299,9 @@ class SscmEstimate:
     then formed from them on first read and kept, so an estimate that is
     only decomposed never holds it (at p = 5000 it is 200 MB).  It is not a
     dataclass field.
+
+    ``pairs`` holds the :class:`PairCounts` of Kendall's tau, whose trace is
+    1 - zero/total; it is None for the SSCM.
     """
 
     kind: str
@@ -286,14 +309,15 @@ class SscmEstimate:
     center: np.ndarray | None
     median: SpatialMedian | None = None
     signs: np.ndarray | None = None
+    pairs: PairCounts | None = None
 
-    def __init__(self, matrix, kind, n_used, center, median=None, signs=None):
+    def __init__(self, matrix, kind, n_used, center, median=None, signs=None, pairs=None):
         if matrix is not None:
             self.matrix = matrix
         elif signs is None:
             raise ValueError("an SscmEstimate needs its matrix or its spatial signs")
         self.kind, self.n_used, self.center = kind, n_used, center
-        self.median, self.signs = median, signs
+        self.median, self.signs, self.pairs = median, signs, pairs
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -348,18 +372,104 @@ def sample_sscm(
 def sample_kendall_tau(data) -> SscmEstimate:
     """Spatial Kendall's tau matrix: the SSCM of all pairwise differences.
 
-    Averages s(x_i - x_j) s(x_i - x_j)^T over the n(n-1)/2 unordered pairs in
-    one serial O(n^2 p) loop over i; its only parallelism is that of BLAS.
+    Averages s(x_i - x_j) s(x_i - x_j)^T over the n(n-1)/2 unordered pairs.
+    With d_ij = xc_i - xc_j and w_ij = 1/|d_ij|^2, their sum is a Laplacian
+    form in the centred data:
+
+        sum_{i<j} w_ij d_ij d_ij^T = Xc^T diag(W1) Xc - (C + C^T),
+
+    where Xc is the data centred at the column mean and scaled by a power of
+    two to unit size, W1 holds the row sums of the weights, and
+    C = sum_{i<j} w_ij xc_i xc_j^T = Xc^T V, where row i of V is the sum of
+    w_ij xc_j over j > i.  It is formed as M + M^T with
+    M = Xc^T (diag(W1)/2 Xc - V), so it is exactly symmetric.  The pairs are
+    taken in blocks of 512 rows by 512: per block, one GEMM gives the squared
+    distances D^2 = r_i + r_j - 2 xc_i.xc_j, r_i = |xc_i|^2, one more the
+    margin of D^2 over the bound below, and a third adds the weighted rows to
+    V.  The work is O(n^2 p) flops in GEMMs plus O(n^2) elementwise work, in
+    O((n + p) p) memory besides the result.
+
+    A pair takes this Gram path when D^2 > f_i + f_j, with
+    f_i = max(r_i/16, smallest normal double).  The rounding of D^2 is at
+    most about 2(p + 2) eps (r_i + r_j), so on the Gram path the relative
+    error of D^2, hence of the weight, is at most about 32(p + 2) eps; the
+    centring rounds d_ij by at most 6 eps relative; and a pair's Laplacian
+    terms are at most 2(r_i + r_j) w_ij < 32 times its unit term, which
+    bounds their cancellation by the same factor.  Every other pair takes the
+    direct path: duplicates and near-duplicates, rows at or near the mean,
+    and pairs at scales far below the data's, whose centred rows cancel or
+    underflow.  Its difference x_j - x_i is formed from the data (halved when
+    it could overflow), in chunks of at most 2^20 doubles, and its spatial
+    sign is summed by a symmetric rank-k update, as pair by pair.
+
+    ``pairs`` counts all pairs, those with a zero difference, whose sign is
+    zero (the trace is 1 - zero/total), and those on the direct path.
     """
     X = _as_data_matrix(data)
     n, p = X.shape
     if n < 2:
         raise ValueError("the Kendall's tau matrix needs at least two observations")
     (X,) = _overflow_safe(X)
-    total = np.zeros((p, p))
-    for i in range(n - 1):
-        signs = _spatial_signs(X[i + 1 :] - X[i])
-        total += signs.T @ signs
+    # a power of two is exact, save for entries it takes below the normal range,
+    # which only pairs at far smaller scales than the data see, and they go direct
+    xc = np.ldexp(X, -int(np.frexp(np.abs(X).max())[1]))
+    xc -= xc.mean(axis=0)
+    r = np.einsum("ij,ij->i", xc, xc)
+    # one GEMM of [-2 xc_i, r_i, 1] by [xc_j, 1, r_j] gives D^2 = r_i + r_j - 2 xc_i.xc_j,
+    # and one more, with the floors f_i = max(r_i/16, tiny) taken off r, its margin
+    # D^2 - f_i - f_j over the Gram path's bound
+    floor = np.maximum(_GRAM_SHARE * r, _TINY)
+    dist_rows = np.column_stack([-2.0 * xc, r, np.ones(n)])
+    dist_cols = np.column_stack([xc, np.ones(n), r]).T.copy()
+    margin_rows, margin_cols = dist_rows.copy(), dist_cols.copy()
+    margin_rows[:, p] -= floor
+    margin_cols[p + 1] -= floor
+    w1 = np.zeros(n)
+    pulled = np.zeros((n, p))  # row i: the sum of w_ij xc_j over the Gram pairs i < j
+    direct = 0.0  # the sum of s s^T over the direct pairs, an array from the first of them
+    b = min(n, _BLOCK)
+    # per-block work arrays, allocated once: fresh ones cost more in page faults
+    # than their arithmetic at small p
+    sq_buf, margin_buf = np.empty((2, b, b))
+    gram_buf, rest_buf = np.empty((2, b, b), dtype=bool)
+    upper = np.triu(np.ones((b, b), dtype=bool), 1)
+    ones = np.ones(b)
+    chunk = max(1, _CHUNK // p)
+    n_direct = n_zero = 0
+    for lo in range(0, n, b):
+        rows = slice(lo, lo + b)
+        h = min(b, n - lo)
+        for lo2 in range(lo, n, b):
+            cols = slice(lo2, lo2 + b)
+            k = min(b, n - lo2)
+            margin = np.matmul(margin_rows[rows], margin_cols[:, cols], out=margin_buf[:h, :k])
+            gram = np.greater(margin, 0.0, out=gram_buf[:h, :k])
+            if lo2 == lo:
+                gram &= upper[:h, :h]
+            rest = np.logical_not(gram, out=rest_buf[:h, :k])
+            sq = np.matmul(dist_rows[rows], dist_cols[:, cols], out=sq_buf[:h, :k])
+            # 1/inf = 0: the weights vanish off the Gram path, and no division warns
+            np.copyto(sq, np.inf, where=rest)
+            weights = np.reciprocal(sq, out=sq)
+            pulled[rows] += weights @ xc[cols]
+            w1[rows] += weights @ ones[:k]
+            w1[cols] += ones[:h] @ weights
+            if lo2 == lo:
+                rest &= upper[:h, :h]
+            ii, jj = np.divmod(np.flatnonzero(rest), k)
+            n_direct += ii.size
+            for start in range(0, ii.size, chunk):
+                diff = X[lo2 + jj[start : start + chunk]] - X[lo + ii[start : start + chunk]]
+                n_zero += int(np.count_nonzero(~diff.any(axis=1)))
+                signs = _spatial_signs(diff)
+                direct += signs.T @ signs
+    # M + M^T, with M = Xc^T (diag(W1)/2 Xc - V) and V the pulled rows, is the
+    # Laplacian form and exactly symmetric; the direct pairs enter M halved, exactly
+    mat = xc.T @ (xc * (0.5 * w1)[:, None] - pulled)
+    direct *= 0.5
+    mat += direct
+    del direct
+    mat += mat.T
     n_pairs = n * (n - 1) // 2
-    mat = total / n_pairs
-    return SscmEstimate(matrix=mat, kind="kendall_tau", n_used=n, center=None)
+    mat /= n_pairs
+    return SscmEstimate(mat, "kendall_tau", n, None, pairs=PairCounts(n_pairs, n_zero, n_direct))

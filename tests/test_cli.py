@@ -140,6 +140,17 @@ def test_kendall_two_points(tmp_path):
     np.testing.assert_allclose(payload["matrix"], [[1.0, 0.0], [0.0, 0.0]], atol=1e-12)
 
 
+def test_kendall_reports_pair_counts(tmp_path):
+    path = tmp_path / "dup.csv"
+    path.write_text("0,1\n2,0\n0,1\n0,1\n")
+    out = run_cli("kendall", str(path), "--no-header")
+    payload = json.loads(out.stdout)
+    pairs = payload["metadata"]["pairs"]
+    assert pairs["total"] == 6 and pairs["zero"] == 3 and pairs["direct"] >= 3
+    assert payload["metadata"]["trace"] == pytest.approx(1.0 - pairs["zero"] / pairs["total"], abs=1e-15)
+    assert run_cli("kendall", str(path), "--no-header").stdout == out.stdout
+
+
 def test_byte_identical_reruns():
     first = run_cli("map", "--lambdas", "0.62,0.23,0.15")
     second = run_cli("map", "--lambdas", "0.62,0.23,0.15")

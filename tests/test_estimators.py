@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -366,7 +367,8 @@ class TestSampleSscm:
     def test_symmetric_and_nonnegative(self):
         rng = np.random.default_rng(22)
         X = rng.standard_normal((40, 6))
-        # neither estimator symmetrizes: S^T S and sums of such are exactly symmetric
+        # neither estimator symmetrizes after the fact: S^T S, M + M^T and sums of
+        # such are exactly symmetric
         for M in (sample_sscm(X).matrix, sample_kendall_tau(X).matrix):
             np.testing.assert_array_equal(M, M.T)
             for _ in range(20):
@@ -508,3 +510,91 @@ class TestKendallTau:
         assert est.signs is None
         assert np.all(np.isfinite(est.matrix))
         np.testing.assert_allclose(est.matrix, expected, rtol=0, atol=1e-13)
+
+    def test_pair_counts(self):
+        X = np.array([[0.0, 1.0], [2.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
+        est = sample_kendall_tau(X)
+        assert est.pairs == estimators.PairCounts(total=6, zero=3, direct=est.pairs.direct)
+        assert est.pairs.direct >= 3
+        assert abs(np.trace(est.matrix) - 0.5) < 1e-15
+        assert sample_sscm(X).pairs is None
+
+
+def _kendall_by_rows(X):
+    """Kendall's tau summed one row against the later rows at a time; only for
+    data whose squared differences are zero or normal doubles."""
+    n = len(X)
+    total = np.zeros((X.shape[1],) * 2)
+    for i in range(n - 1):
+        diff = X[i + 1 :] - X[i]
+        sq = np.einsum("ij,ij->i", diff, diff)
+        assert np.all((sq == 0.0) | (sq >= np.finfo(float).tiny) & np.isfinite(sq))
+        signs = diff / np.where(sq == 0.0, 1.0, np.sqrt(sq))[:, None]
+        total += signs.T @ signs
+    return total / (n * (n - 1) // 2)
+
+
+def _row_at_mean(rng):
+    # dyadic rows symmetric about c, one of them c itself: every sum is exact,
+    # so the column mean is exactly that row
+    half = np.round(rng.standard_normal((150, 4)) * 2.0**20) / 2.0**20
+    return np.array([3.0, -7.0, 11.0, 2.0]) + np.vstack([half, -half, np.zeros((1, 4))])
+
+
+def _two_clusters(rng):
+    X = rng.standard_normal((300, 6))
+    X[:150, 0] += 1e4
+    return X
+
+
+KENDALL_CASES = {
+    "near_duplicates": lambda rng: np.repeat(rng.standard_normal((30, 5)), 10, axis=0)
+    + 1e-12 * rng.standard_normal((300, 5)),
+    "two_clusters": _two_clusters,
+    "offset": lambda rng: rng.standard_normal((300, 4)) + 1e6,
+    "column_scales": lambda rng: rng.standard_normal((300, 4)) * np.exp([8.0, -8.0, 8.0, -8.0]),
+    "row_at_mean": _row_at_mean,
+    "wide": lambda rng: rng.standard_normal((50, 400)),
+    "ragged_block": lambda rng: rng.standard_normal((1100, 3)),
+    "gaussian": lambda rng: rng.standard_normal((2000, 10)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KENDALL_CASES))
+def test_kendall_matches_the_pairwise_reference(case):
+    X = KENDALL_CASES[case](np.random.default_rng(43))
+    n = len(X)
+    if case == "row_at_mean":
+        np.testing.assert_array_equal(X.mean(axis=0), X[-1])
+    if n < 1000:
+        expected = sum(_sign_outer_sum(X[i + 1 :] - X[i]) for i in range(n - 1)) / (n * (n - 1) // 2)
+    else:
+        expected = _kendall_by_rows(X)
+    est = sample_kendall_tau(X)
+    np.testing.assert_allclose(est.matrix, expected, rtol=0, atol=1e-13)
+    np.testing.assert_array_equal(est.matrix, est.matrix.T)
+    total, zero, direct = est.pairs
+    assert total == n * (n - 1) // 2 and 0 <= zero <= direct <= total
+    assert abs(np.trace(est.matrix) - (1.0 - zero / total)) <= 1e-13
+    if case in ("near_duplicates", "two_clusters"):
+        # pairs within a tight cluster: their centred rows nearly cancel
+        assert direct > 0
+    if case == "gaussian":
+        # only the rare pair nearly aligned with the mean, at like norms, goes direct
+        assert direct <= 1e-5 * total
+
+
+def test_kendall_direct_pairs_in_bounded_memory():
+    # within each cluster every pair goes direct: 89,700 differences of 200
+    # doubles (144 MB at once), formed 2^20 doubles at a time
+    rng = np.random.default_rng(44)
+    X = 1e-3 * rng.standard_normal((600, 200))
+    X[:300, 0] += 1e4
+    tracemalloc.start()
+    try:
+        est = sample_kendall_tau(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.pairs.direct >= 2 * 300 * 299 // 2
+    assert peak < 50e6, peak
