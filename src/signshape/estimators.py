@@ -65,10 +65,15 @@ _HALF_MAX = np.finfo(float).max / 2
 _TINY = np.finfo(float).tiny
 # Kendall's tau sums its pairs in blocks of this many rows by this many; a pair
 # takes the Gram path when its squared distance exceeds this share of r_i + r_j
+# and twice the floor, so that its weight is below 2^899 and no sum of weights
+# overflows
 _BLOCK = 512
 _GRAM_SHARE = 1.0 / 16
-# doubles per chunk of differences formed on Kendall's direct path
-_CHUNK = 1 << 20
+_GRAM_FLOOR = 2.0**-900
+# doubles per chunk of differences formed on Kendall's direct path, small enough
+# to stay in cache at small p; a chunk has at least _BLOCK rows, so that its
+# rank-k update of the p x p sum stays efficient at large p
+_CHUNK = 1 << 16
 
 
 def _overflow_safe(*arrays: np.ndarray) -> tuple:
@@ -378,8 +383,9 @@ def sample_kendall_tau(data) -> SscmEstimate:
 
         sum_{i<j} w_ij d_ij d_ij^T = Xc^T diag(W1) Xc - (C + C^T),
 
-    where Xc is the data centred at the column mean and scaled by a power of
-    two to unit size, W1 holds the row sums of the weights, and
+    where Xc is the data scaled by a power of two to unit size and centred at
+    its coordinate-wise median, which a few outlying rows do not pull away
+    from the bulk of the data, W1 holds the row sums of the weights, and
     C = sum_{i<j} w_ij xc_i xc_j^T = Xc^T V, where row i of V is the sum of
     w_ij xc_j over j > i.  It is formed as M + M^T with
     M = Xc^T (diag(W1)/2 Xc - V), so it is exactly symmetric.  The pairs are
@@ -390,17 +396,18 @@ def sample_kendall_tau(data) -> SscmEstimate:
     O((n + p) p) memory besides the result.
 
     A pair takes this Gram path when D^2 > f_i + f_j, with
-    f_i = max(r_i/16, smallest normal double).  The rounding of D^2 is at
+    f_i = max(r_i/16, 2^-900).  The floor keeps every weight below 2^899, so
+    no row sum of n weights overflows.  The rounding of D^2 is at
     most about 2(p + 2) eps (r_i + r_j), so on the Gram path the relative
     error of D^2, hence of the weight, is at most about 32(p + 2) eps; the
     centring rounds d_ij by at most 6 eps relative; and a pair's Laplacian
     terms are at most 2(r_i + r_j) w_ij < 32 times its unit term, which
     bounds their cancellation by the same factor.  Every other pair takes the
-    direct path: duplicates and near-duplicates, rows at or near the mean,
+    direct path: duplicates and near-duplicates, rows at or near the centre,
     and pairs at scales far below the data's, whose centred rows cancel or
     underflow.  Its difference x_j - x_i is formed from the data (halved when
-    it could overflow), in chunks of at most 2^20 doubles, and its spatial
-    sign is summed by a symmetric rank-k update, as pair by pair.
+    it could overflow), in chunks of at most max(2^16, 512 p) doubles, and
+    its spatial sign is summed by a symmetric rank-k update, as pair by pair.
 
     ``pairs`` counts all pairs, those with a zero difference, whose sign is
     zero (the trace is 1 - zero/total), and those on the direct path.
@@ -413,12 +420,12 @@ def sample_kendall_tau(data) -> SscmEstimate:
     # a power of two is exact, save for entries it takes below the normal range,
     # which only pairs at far smaller scales than the data see, and they go direct
     xc = np.ldexp(X, -int(np.frexp(np.abs(X).max())[1]))
-    xc -= xc.mean(axis=0)
+    xc -= _coordinate_median(xc)
     r = np.einsum("ij,ij->i", xc, xc)
     # one GEMM of [-2 xc_i, r_i, 1] by [xc_j, 1, r_j] gives D^2 = r_i + r_j - 2 xc_i.xc_j,
-    # and one more, with the floors f_i = max(r_i/16, tiny) taken off r, its margin
+    # and one more, with the floors f_i = max(r_i/16, 2^-900) taken off r, its margin
     # D^2 - f_i - f_j over the Gram path's bound
-    floor = np.maximum(_GRAM_SHARE * r, _TINY)
+    floor = np.maximum(_GRAM_SHARE * r, _GRAM_FLOOR)
     dist_rows = np.column_stack([-2.0 * xc, r, np.ones(n)])
     dist_cols = np.column_stack([xc, np.ones(n), r]).T.copy()
     margin_rows, margin_cols = dist_rows.copy(), dist_cols.copy()
@@ -434,7 +441,7 @@ def sample_kendall_tau(data) -> SscmEstimate:
     gram_buf, rest_buf = np.empty((2, b, b), dtype=bool)
     upper = np.triu(np.ones((b, b), dtype=bool), 1)
     ones = np.ones(b)
-    chunk = max(1, _CHUNK // p)
+    chunk = max(_BLOCK, _CHUNK // p)
     n_direct = n_zero = 0
     for lo in range(0, n, b):
         rows = slice(lo, lo + b)
@@ -459,7 +466,9 @@ def sample_kendall_tau(data) -> SscmEstimate:
             ii, jj = np.divmod(np.flatnonzero(rest), k)
             n_direct += ii.size
             for start in range(0, ii.size, chunk):
-                diff = X[lo2 + jj[start : start + chunk]] - X[lo + ii[start : start + chunk]]
+                # np.take from the blocks gathers faster than fancy indexing of X
+                diff = np.take(X[cols], jj[start : start + chunk], axis=0)
+                diff -= np.take(X[rows], ii[start : start + chunk], axis=0)
                 n_zero += int(np.count_nonzero(~diff.any(axis=1)))
                 signs = _spatial_signs(diff)
                 direct += signs.T @ signs

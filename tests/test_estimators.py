@@ -541,6 +541,22 @@ def _row_at_mean(rng):
     return np.array([3.0, -7.0, 11.0, 2.0]) + np.vstack([half, -half, np.zeros((1, 4))])
 
 
+def _tiny_pairs(rng):
+    # rows 2^-511 from the centre after scaling: their pairs' weights would be
+    # near 2^1020 on the Gram path, and sixteen such partners overflow a row sum
+    tiny = np.zeros((32, 2))
+    tiny[:16, 1], tiny[16:, 1] = 2.0**-510, -(2.0**-510)
+    return np.vstack([[[1.0, 0.0], [-1.0, 0.0]], tiny])
+
+
+def _outlier(rng):
+    # one far row pulls the column mean 1e3 from the bulk, but not the
+    # coordinate-wise median that the Gram path centres at
+    X = rng.standard_normal((400, 10))
+    X[0] += 1e6
+    return X
+
+
 def _two_clusters(rng):
     X = rng.standard_normal((300, 6))
     X[:150, 0] += 1e4
@@ -557,6 +573,8 @@ KENDALL_CASES = {
     "wide": lambda rng: rng.standard_normal((50, 400)),
     "ragged_block": lambda rng: rng.standard_normal((1100, 3)),
     "gaussian": lambda rng: rng.standard_normal((2000, 10)),
+    "tiny_pairs": _tiny_pairs,
+    "outlier": _outlier,
 }
 
 
@@ -580,13 +598,18 @@ def test_kendall_matches_the_pairwise_reference(case):
         # pairs within a tight cluster: their centred rows nearly cancel
         assert direct > 0
     if case == "gaussian":
-        # only the rare pair nearly aligned with the mean, at like norms, goes direct
+        # only the rare pair nearly aligned with the centre, at like norms, goes direct
         assert direct <= 1e-5 * total
+    if case == "tiny_pairs":
+        # the 256 pairs of opposite tiny rows, and the 240 of like ones
+        assert direct >= 2 * 16 * 15 // 2 + 16 * 16
+    if case == "outlier":
+        assert direct <= 1e-3 * total
 
 
 def test_kendall_direct_pairs_in_bounded_memory():
     # within each cluster every pair goes direct: 89,700 differences of 200
-    # doubles (144 MB at once), formed 2^20 doubles at a time
+    # doubles (144 MB at once), formed 512 at a time
     rng = np.random.default_rng(44)
     X = 1e-3 * rng.standard_normal((600, 200))
     X[:300, 0] += 1e4
