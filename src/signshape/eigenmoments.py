@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -55,6 +56,8 @@ __all__ = [
 _LOG_EPS = math.log(np.finfo(float).eps)
 _LOG_MAX = math.log(np.finfo(float).max)
 _TINY = np.finfo(float).tiny
+# the spacing of the doubles below _TINY
+_SUBNORMAL_UNIT = 2.0**-1074
 # the least error estimate a level reports: the gaps cannot resolve rounding below it
 _ROUNDING = 4.0 * np.finfo(float).eps
 # the first step is 1 in t; each halving doubles the nodes
@@ -180,7 +183,7 @@ def _warp(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _blocks(n: int, k: int):
-    """Consecutive slices of n nodes, each with about _BLOCK node-value pairs."""
+    """Consecutive slices of n rows of k entries (nodes by values), about _BLOCK entries each."""
     step = max(1, _BLOCK // k)
     return (slice(start, start + step) for start in range(0, n, step))
 
@@ -250,6 +253,13 @@ def _moments(v: np.ndarray, m: np.ndarray, cfg: QuadratureConfig, cross: bool = 
     of either level.  The cross table is a sum of symmetric rank-k updates
     (see ``_node_sums``), so it is exactly symmetric.
 
+    The gaps see the trapezoid error only.  A subnormal eigenvalue delta is
+    h/2 times a sum of node terms that each round by up to half a unit of
+    2^-1074, and J w times half a unit more from g; nearly constant terms, as
+    for the smallest value at p >= 3, all round the same way.  So once a level
+    is accepted, ``error_estimate`` is raised to nodes h 2^-1074 / delta_min
+    if that is larger: twice the bound at J w <= 1.
+
     The warp is entire and increasing, and the singularities of the
     integrands sit at Re u = -log v_k >= 0, Im u = +-pi, where the warp
     differs from the identity by exp(_WARP) or less; so the integrands in t
@@ -286,9 +296,12 @@ def _moments(v: np.ndarray, m: np.ndarray, cfg: QuadratureConfig, cross: bool = 
         change = np.abs(mid_values - values)
         values += mid_values
         if cross:
-            diff = mid_table - table
-            change = np.maximum(change, np.abs(diff, out=diff).max(axis=1))
-            table += mid_table
+            # by row chunks, with no k x k gap array
+            for rows in _blocks(v.size, v.size):
+                old, new, row_change = table[rows], mid_table[rows], change[rows]
+                diff = new - old
+                np.maximum(row_change, np.abs(diff, out=diff).max(axis=1), out=row_change)
+                old += new
         gap = float(np.max(h * change / np.maximum(h * values, _TINY)))
         # once the gaps shrink, the next shrinks by their ratio or more
         error = max(gap * gap / previous, _ROUNDING) if gap < previous else gap
@@ -312,7 +325,12 @@ def _moments(v: np.ndarray, m: np.ndarray, cfg: QuadratureConfig, cross: bool = 
         )
     if cross:
         table *= 0.25 * h  # 1/4 int g g^T w du
-    return _Moments(values / total, table, error, h, nodes)
+    values /= total
+    smallest = float(values.min())
+    if smallest < _TINY:
+        # a subnormal eigenvalue sums terms rounded to units of 2^-1074, which the gaps miss
+        error = max(error, nodes * h * _SUBNORMAL_UNIT / max(smallest, _SUBNORMAL_UNIT))
+    return _Moments(values, table, error, h, nodes)
 
 
 def _per_entry(shape_spectrum, cfg: QuadratureConfig | None, cross: bool = False) -> _Moments:
@@ -363,10 +381,11 @@ def sscm_eigenvalues(shape_spectrum, cfg: QuadratureConfig | None = None) -> Spe
         pre-normalization defect above ``10 * cfg.rel_tol``, or a step that
         cannot be refined to ``cfg.rel_tol``, raises :class:`QuadratureError`.
         An SSCM eigenvalue that is itself subnormal sums subnormal terms and
-        can be off by about 1e-4 relative, which the quadrature's error
-        estimate does not see: ``[2/3, 1/3, 6.66e-321]`` maps its last entry
-        to 5.19877e-318, against 5.19795e-318 from a 40-digit quadrature,
-        with an error estimate of 4.7e-15.
+        can be off by about 1e-4 relative: ``[2/3, 1/3, 6.66e-321]`` maps its
+        last entry to 5.19877e-318, against 5.19796e-318 from a 40-digit
+        quadrature.  The quadrature's error estimate (``signshape map``
+        reports it) is raised to cover that rounding, here to 9.7e-4, with no
+        effect on whether the tolerance is met.
     """
     return _descending(_per_entry(shape_spectrum, cfg).values)
 
@@ -378,22 +397,42 @@ def _pairings(basis: np.ndarray, cross: np.ndarray, direct: np.ndarray) -> np.nd
     so with direct = cross this is the sign moment matrix in basis O.  Built on the p(p+1)/2
     sorted index pairs, symmetrized there and gathered out, the result is exactly symmetric and
     exactly invariant under i <-> j and k <-> l, as every term is in exact arithmetic.
+
+    The two GEMMs run over all pairs at once.  The pair matrix is gathered from G, and the
+    result from the pair matrix, in row blocks of about _BLOCK entries, each block's indices
+    built as it goes.  G, V direct V^T and the pair matrix's transpose take turns in the head
+    of the result's buffer before the last gather fills it, so the peak is the result, the
+    pair matrix (a quarter of the result) and one block: about 1.3 times the result.
     """
     p = basis.shape[0]
     i, j = np.triu_indices(p)
     n = i.size
     pair = np.empty((p, p), dtype=np.intp)  # sorted-pair index of (a, b)
     pair[i, j] = pair[j, i] = np.arange(n)
+    # row a of pair_i (pair_j) holds the pair index of (a, i_s) ((a, j_s)) for each pair s
+    pair_i, pair_j = pair[:, i], pair[:, j]
     vecs = basis[i] * basis[j]
-    g = (vecs @ cross @ vecs.T).ravel()
-    half = g.take(pair[i][:, i] * n + pair[j][:, j])
-    half += g.take(pair[i][:, j] * n + pair[j][:, i])
-    del g  # freed before the p^4 expansion
-    half += vecs @ direct @ vecs.T
-    half += half.T
+    w = np.empty((p * p, p * p))
+    # n^2 <= p^4 entries at the head of w, free until the gather out to p^2 x p^2
+    scratch = w.reshape(-1)[: n * n].reshape(n, n)
+    g = np.matmul(vecs @ cross, vecs.T, out=scratch).ravel()
+    half = np.empty((n, n))
+    # mode="clip" lets take write straight into out, which the default mode
+    # buffers; every index is in range
+    for rows in _blocks(n, n):
+        # G[i,k,j,l] and G[i,l,j,k] at pairs (i, j) = rows and (k, l) = all pairs
+        out = half[rows]
+        np.take(g, pair_i[i[rows]] * n + pair_j[j[rows]], out=out, mode="clip")
+        out += g.take(pair_j[i[rows]] * n + pair_i[j[rows]])
+    half += np.matmul(vecs @ direct, vecs.T, out=scratch)
+    # half += half.T, with the transpose copied to scratch rather than to a new array
+    np.copyto(scratch, half.T)
+    half += scratch
     half *= 0.5
     index = pair.ravel()
-    return half.take(index, axis=1).take(index, axis=0)
+    for rows in _blocks(p * p, p * p):
+        np.take(half.take(index[rows], axis=0), index, axis=1, out=w[rows], mode="clip")
+    return w
 
 
 def _gamma(cross: np.ndarray) -> np.ndarray:
@@ -443,23 +482,33 @@ def sign_moment_matrix(shape_spectrum, cfg: QuadratureConfig | None = None) -> n
 class AsymptoticCov:
     """Asymptotic covariance of sqrt(n) vec(S_n) with its building blocks.
 
-    ``w`` is the p^2 x p^2 covariance, ``gamma`` the uncentered sign moment
-    matrix in the eigenbasis, ``eigenvectors`` the orthogonal matrix O
-    that carries gamma into the data coordinates, and ``sscm_spectrum`` the
+    ``w`` is the p^2 x p^2 covariance, ``cross`` the p x p table
+    E[s_a^2 s_b^2] of the sign vector in the eigenbasis, whose diagonal is
+    E[s_a^4] / 3 (:func:`sign_fourth_moments` is the same table with that
+    diagonal tripled), ``eigenvectors`` the orthogonal matrix O that carries
+    the eigenbasis into the data coordinates, and ``sscm_spectrum`` the
     population SSCM eigenvalues from the same quadrature, as
     :func:`sscm_eigenvalues` returns them: order-guarded and renormalized.
     W is centred with the per-entry quadrature values before that step,
     which can differ from ``sscm_spectrum`` in the last bit.
+
+    ``gamma``, the uncentered sign moment matrix in the eigenbasis, is a
+    second p^2 x p^2 array: it is scattered from ``cross`` when first read
+    and kept, bitwise equal to :func:`sign_moment_matrix` of the spectrum.
     ``w`` and ``gamma`` are exactly symmetric and, as S_n is, exactly
     invariant under i <-> j and under k <-> l in their entry ((i, j), (k, l)):
     ``w`` is gathered from one matrix over the sorted index pairs, and
     ``gamma`` is scattered from the exactly symmetric cross table.
     """
 
-    gamma: np.ndarray
     w: np.ndarray
+    cross: np.ndarray
     eigenvectors: np.ndarray
     sscm_spectrum: Spectrum
+
+    @cached_property
+    def gamma(self) -> np.ndarray:
+        return _gamma(self.cross)
 
 
 def sscm_asymptotic_cov(
@@ -471,6 +520,9 @@ def sscm_asymptotic_cov(
     matrix of SSCM eigenvalues and O the shape eigenvectors, built directly in
     basis O from the sign-flip pairing.  ``eigenvectors`` must be orthogonal
     to within 1e-10.
+
+    The result keeps W, 8 p^4 bytes, and p x p arrays: gamma is formed when
+    first read.  The call peaks at about 1.3 times W (see ``_pairings``).
     """
     lam = _as_spectrum(shape_spectrum)
     p = len(lam)
@@ -487,9 +539,6 @@ def sscm_asymptotic_cov(
     delta, cross = _per_entry(lam, cfg, cross=True)[:2]
     # vec(O D O^T) = V delta, so the centering joins the direct term
     w = _pairings(basis, cross, cross - np.outer(delta, delta))
-    # after w, gamma takes heap space its temporaries freed: built first, it
-    # left 10 MB more resident after a p = 30 call
-    gamma = _gamma(cross)
     return AsymptoticCov(
-        gamma=gamma, w=w, eigenvectors=basis.copy(), sscm_spectrum=_descending(delta)
+        w=w, cross=cross, eigenvectors=basis.copy(), sscm_spectrum=_descending(delta)
     )

@@ -374,6 +374,20 @@ def sample_sscm(
     return SscmEstimate(None, "sscm", n, mu.copy(), median, signs)
 
 
+def _add_transpose(mat: np.ndarray) -> None:
+    """mat += mat.T in place, by blocks: each pair of off-diagonal blocks is summed
+    once into a block temporary and written to both places, so no second p x p
+    array is made.  Every entry is still mat[i, j] + mat[j, i]."""
+    p = mat.shape[0]
+    for lo in range(0, p, _BLOCK):
+        rows = slice(lo, lo + _BLOCK)
+        for lo2 in range(lo, p, _BLOCK):
+            cols = slice(lo2, lo2 + _BLOCK)
+            total = mat[rows, cols] + mat[cols, rows].T
+            mat[rows, cols] = total
+            mat[cols, rows] = total.T
+
+
 def sample_kendall_tau(data) -> SscmEstimate:
     """Spatial Kendall's tau matrix: the SSCM of all pairwise differences.
 
@@ -472,13 +486,15 @@ def sample_kendall_tau(data) -> SscmEstimate:
                 n_zero += int(np.count_nonzero(~diff.any(axis=1)))
                 signs = _spatial_signs(diff)
                 direct += signs.T @ signs
+    # at p >> n the n x p work arrays are a fifth of the p x p result
+    del dist_rows, dist_cols, margin_rows, margin_cols, sq_buf, margin_buf
     # M + M^T, with M = Xc^T (diag(W1)/2 Xc - V) and V the pulled rows, is the
     # Laplacian form and exactly symmetric; the direct pairs enter M halved, exactly
     mat = xc.T @ (xc * (0.5 * w1)[:, None] - pulled)
     direct *= 0.5
     mat += direct
     del direct
-    mat += mat.T
+    _add_transpose(mat)
     n_pairs = n * (n - 1) // 2
     mat /= n_pairs
     return SscmEstimate(mat, "kendall_tau", n, None, pairs=PairCounts(n_pairs, n_zero, n_direct))

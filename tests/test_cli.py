@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -363,6 +364,34 @@ def test_emit_matches_the_standard_writers(first, second):
     reference = io.StringIO()
     csv.writer(reference, lineterminator="\n").writerows(np.atleast_2d(first).tolist())
     assert _emitted(payload, first, "csv") == reference.getvalue()
+
+
+def test_emit_formats_repeated_rows_as_the_standard_writers():
+    # rows 0 and 2 repeat; rows 1 and 3 differ only in the sign of a zero
+    mat = np.array(
+        [[0.1, -2.5, 1e-310], [0.0, 3.0, 0.0], [0.1, -2.5, 1e-310], [-0.0, 3.0, 0.0], [0.0, 3.0, 0.0]]
+    )
+    assert _emitted({"w": mat}, None, "json") == json.dumps({"w": mat.tolist()}) + "\n"
+    reference = io.StringIO()
+    csv.writer(reference, lineterminator="\n").writerows(mat.tolist())
+    assert _emitted({}, mat, "csv") == reference.getvalue()
+
+
+@pytest.mark.parametrize(
+    "lambdas, reference",
+    [
+        # the last SSCM eigenvalue by a 40-digit trapezoid rule at steps 1/8 and 1/16,
+        # which the map misses by 1.6e-4, 1.9e-9 and 2.1e-6
+        ("0.6666666666666666,0.3333333333333333,6.66e-321", "5.197961567148459733781477e-318"),
+        ("1,0.5,0.25,1e-315", "1.937715298816047688042906e-315"),
+        ("0.5,0.3,0.2,1e-312,1e-318", "3.173731722964145306731301e-318"),
+    ],
+)
+def test_map_error_estimate_covers_subnormal_rounding(lambdas, reference):
+    payload = json.loads(run_cli("map", "--lambdas", lambdas).stdout)
+    # a subnormal double cannot hold the reference, so compare in decimal
+    error = abs(Decimal(payload["delta"][-1]) / Decimal(reference) - 1)
+    assert error <= payload["metadata"]["error_estimate"]
 
 
 def test_csv_output_is_exact(tmp_path):

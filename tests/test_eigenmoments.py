@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -441,7 +444,11 @@ class TestMomentMatrix:
         p = cross.shape[0]
         reference = eigenmoments._pairings(np.eye(p), cross, cross)
         np.testing.assert_array_equal(sign_moment_matrix(lam), reference)
-        np.testing.assert_array_equal(sscm_asymptotic_cov(np.eye(p), lam).gamma, reference)
+        cov = sscm_asymptotic_cov(np.eye(p), lam)
+        assert "gamma" not in vars(cov)
+        np.testing.assert_array_equal(cov.cross, cross)
+        np.testing.assert_array_equal(cov.gamma, reference)
+        np.testing.assert_array_equal(cov.gamma, sign_moment_matrix(lam))
 
     def test_entries_match_direct_monte_carlo(self):
         # estimate E[vec(s s^T) vec(s s^T)^T] directly from simulated signs
@@ -554,3 +561,34 @@ class TestAsymptoticCov:
         np.testing.assert_allclose(
             cov.sscm_spectrum.values, sscm_eigenvalues(lam).values, rtol=0, atol=1e-15
         )
+
+    def test_gamma_is_formed_on_first_read(self):
+        rng = np.random.default_rng(20)
+        lam = random_spectrum(rng, 5)
+        Q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+        cov = sscm_asymptotic_cov(Q, lam)
+        assert "gamma" not in {f.name for f in dataclasses.fields(cov)}
+        assert "gamma" not in vars(cov)
+        gamma = cov.gamma
+        # gamma lives in the eigenbasis, whatever the basis of W
+        np.testing.assert_array_equal(gamma, sign_moment_matrix(lam))
+        assert cov.gamma is gamma
+        np.testing.assert_array_equal(
+            cov.cross * (1.0 + 2.0 * np.eye(5)), sign_fourth_moments(lam)
+        )
+
+    def test_holds_only_w(self):
+        # W is 20 MB at p = 40; gamma was a second p^4 array, and the pair
+        # gathers passed through arrays of half and a quarter of W
+        p = 40
+        rng = np.random.default_rng(21)
+        lam = random_spectrum(rng, p)
+        Q, _ = np.linalg.qr(rng.standard_normal((p, p)))
+        tracemalloc.start()
+        try:
+            cov = sscm_asymptotic_cov(Q, lam)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held <= 1.05 * cov.w.nbytes, held / cov.w.nbytes
+        assert peak <= 1.45 * cov.w.nbytes, peak / cov.w.nbytes

@@ -621,3 +621,26 @@ def test_kendall_direct_pairs_in_bounded_memory():
         tracemalloc.stop()
     assert est.pairs.direct >= 2 * 300 * 299 // 2
     assert peak < 50e6, peak
+
+
+def test_kendall_at_p_much_above_n_holds_one_p_by_p_array():
+    # the p x p result is 32 MB; a second one for mat + mat^T would double the peak
+    p = 2000
+    X = np.random.default_rng(45).standard_normal((100, p))
+    tracemalloc.start()
+    try:
+        est = sample_kendall_tau(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(est.matrix, est.matrix.T)
+    assert peak < 1.3 * 8 * p * p, peak
+
+
+@pytest.mark.parametrize("p", [1, 7, 512, 1100])
+def test_blocked_transpose_sum_matches_the_plain_one(p):
+    # 1100 rows take two full 512-row blocks and a partial one
+    mat = np.random.default_rng(p).standard_normal((p, p))
+    expected = mat + mat.T
+    estimators._add_transpose(mat)
+    np.testing.assert_array_equal(mat, expected)
