@@ -14,22 +14,22 @@ analytic in |Im u| < pi and decay exponentially at both ends, so one
 trapezoid rule on shared nodes converges like exp(-2 pi^2 / h) for both
 families (Trefethen & Weideman, SIAM Review 2014).  Each halving of h thus
 squares the error, so the rule estimates a level's error from the last two
-gaps between levels, as is usual for double-exponential rules (Bailey,
-Jeyabalan & Li, 2005), and most spectra stop at h = 1/4.  Each level reads
-only its new midpoints: its gap to the level before is the new step times
-their sums less the old ones.  The table sum J w g g^T is accumulated as
-(sqrt(J w) g)^T (sqrt(J w) g) per block of nodes, a symmetric rank-k
-update, so it is exactly symmetric.  The nodes are evenly spaced in t, not
-in u: u = t - exp(A - t) with A = -4 is the identity right of A + 37 to
-double precision and squeezes the left tail u in [log eps, A], where every
-integrand is nearly v e^u, into about 3.5 units of t (Takahasi & Mori, 1974).
-At p = 10^4 that is a third of the nodes.  The singularities at
-Re u = -log v_k >= 0 lie where the warp is all but the identity, so the rule
-keeps its exponential convergence: in the squeezed tail the integrand stays
-bounded for |Im t| < pi/2, which adds an error of about e^A exp(-pi^2 / h),
-4e-11 relative at h = 1/2.  Integrals run once per distinct value, so p in
-the thousands poses no difficulty and equal shape eigenvalues give exactly
-equal results.
+gaps between levels of the eigenvalue integrals, as is usual for
+double-exponential rules (Bailey, Jeyabalan & Li, 2005), and most spectra
+stop at h = 1/4.  Each level reads only its new midpoints: its gap to the
+level before is the new step times their sums less the old ones.  The table
+is read once off the nodes of the accepted step, as h/4 F^T F with rows
+sqrt(J w) g, one symmetric rank-k update, so it is exactly symmetric.  The
+nodes are evenly spaced in t, not in u: u = t - exp(A - t) with A = -4 is
+the identity right of A + 37 to double precision and squeezes the left tail
+u in [log eps, A], where every integrand is nearly v e^u, into about 3.5
+units of t (Takahasi & Mori, 1974).  At p = 10^4 that is a third of the
+nodes.  The singularities at Re u = -log v_k >= 0 lie where the warp is all
+but the identity, so the rule keeps its exponential convergence: in the
+squeezed tail the integrand stays bounded for |Im t| < pi/2, which adds an
+error of about e^A exp(-pi^2 / h), 4e-11 relative at h = 1/2.  Integrals run
+once per distinct value, so p in the thousands poses no difficulty and equal
+shape eigenvalues give exactly equal results.
 """
 
 from __future__ import annotations
@@ -189,19 +189,17 @@ def _blocks(n: int, k: int):
 
 
 def _node_sums(
-    u: np.ndarray, log_jac: np.ndarray, v: np.ndarray, m: np.ndarray, cross: bool, log_w=None
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Sums over nodes u of J w g (length k) and, if ``cross``, of J w g g^T (k x k, else None).
-
-    J = du/dt at each node, given as ``log_jac``; ``log_w`` holds log w at the
-    nodes when it is already known.  With ``cross`` each n x k block g is
-    scaled in place by sqrt(J w) per node, so the table gains g^T g, which
-    numpy runs as a symmetric rank-k update: it is exactly symmetric.
+    u: np.ndarray, log_jac: np.ndarray, v: np.ndarray, m: np.ndarray, rows=None, log_w=None
+) -> np.ndarray:
+    """Sums over nodes u of J w g (length k), with J = du/dt at each node given
+    as ``log_jac`` and ``log_w`` holding log w at the nodes when it is already
+    known.  With a list ``rows``, each n x k block g is scaled in place by
+    sqrt(J w) per node and appended to it, for the table.
     """
-    values = table = None
+    values = None
     for block in _blocks(u.size, v.size):
         nodes = u[block]
-        log_wb = _log_weight(nodes, v, m) if log_w is None else log_w[block]
+        log_jw = (_log_weight(nodes, v, m) if log_w is None else log_w[block]) + log_jac[block]
         decay = np.exp(-nodes)
         g = v / np.add.outer(decay, v)
         if v[-1] < _TINY:
@@ -210,15 +208,12 @@ def _node_sums(
             low, sub = decay < _TINY, v < _TINY
             half = np.exp(-0.5 * nodes[low])[:, None]
             g[np.ix_(low, sub)] = 1.0 / (1.0 + half / v[sub] * half)
-        if cross:
-            root = np.exp(0.5 * (log_wb + log_jac[block]))
-            g *= root[:, None]
-            part = root @ g
-            table = g.T @ g if table is None else np.add(table, g.T @ g, out=table)
-        else:
-            part = np.exp(log_wb + log_jac[block]) @ g
+        part = np.exp(log_jw) @ g
         values = part if values is None else np.add(values, part, out=values)
-    return values, table
+        if rows is not None:
+            g *= np.exp(0.5 * log_jw)[:, None]
+            rows.append(g)
+    return values
 
 
 def _moments(v: np.ndarray, m: np.ndarray, cfg: QuadratureConfig, cross: bool = False) -> _Moments:
@@ -236,22 +231,26 @@ def _moments(v: np.ndarray, m: np.ndarray, cfg: QuadratureConfig, cross: bool = 
     its nodes block by block and stops after the first block that reaches
     that floor; ``nodes`` counts the nodes evaluated.
 
-    The step starts at 1 and is halved on nested nodes.  Let D_k be the gap
-    between the results at h and h/2, the largest over all integrals, each
-    relative to its row's eigenvalue integral int g_a w du, and D_{k-1} the
-    gap one halving back.  Level h/2 is accepted when D_k <= ``cfg.rel_tol``,
-    or when D_k < D_{k-1} and max(D_k^2 / D_{k-1}, 4 eps) <= ``cfg.rel_tol``.
-    An error exp(-c/h) becomes exp(-2c/h) at h/2, so once the gaps shrink the
-    next one shrinks by their ratio D_k / D_{k-1} or more: D_k^2 / D_{k-1}
-    errs high as an estimate of the error at h/2, and 4 eps is rounding the
-    gaps cannot resolve.  That value, or D_k while the gaps do not shrink, is
-    ``error_estimate``, and the ``residual`` of the QuadratureError raised if
-    _MAX_HALVINGS halvings do not reach the tolerance.  The second test needs
-    two gaps, so it stops at h = 1/4 at the earliest.  Level h/2 adds the
-    midpoint sums M to the sums S of level h, and its result less that of
-    level h is h/2 (M - S), so each gap is read off the new nodes with no copy
-    of either level.  The cross table is a sum of symmetric rank-k updates
-    (see ``_node_sums``), so it is exactly symmetric.
+    The step starts at 1 and is halved on nested nodes, and it is chosen on the
+    eigenvalue integrals alone.  Let D_k be the gap between the results at h and
+    h/2, the largest over the eigenvalue integrals, each relative to itself, and
+    D_{k-1} the gap one halving back.  Level h/2 is accepted when
+    D_k <= ``cfg.rel_tol``, or when D_k < D_{k-1} and
+    max(D_k^2 / D_{k-1}, 4 eps) <= ``cfg.rel_tol``.  An error exp(-c/h) becomes
+    exp(-2c/h) at h/2, so once the gaps shrink the next one shrinks by their
+    ratio D_k / D_{k-1} or more: D_k^2 / D_{k-1} errs high as an estimate of
+    the error at h/2, and 4 eps is rounding the gaps cannot resolve.  That
+    value, or D_k while the gaps do not shrink, is ``error_estimate``, and the
+    ``residual`` of the QuadratureError raised if _MAX_HALVINGS halvings do not
+    reach the tolerance.  The second test needs two gaps, so it stops at h = 1/4
+    at the earliest.  Level h/2 adds the midpoint sums M to the sums S of level
+    h, and its result less that of level h is h/2 (M - S), so each gap is read
+    off the new nodes with no copy of either level.  The table integrands
+    g_a g_b w share the poles of the eigenvalue integrands g_a w, so the rule
+    converges on them at the same rate.  So with ``cross`` every node's row
+    sqrt(J w) g is kept, and once a level is accepted the table is formed once
+    as h/4 F^T F, F the kept rows: one symmetric rank-k update, so it is
+    exactly symmetric.
 
     The gaps see the trapezoid error only.  A subnormal eigenvalue delta is
     h/2 times a sum of node terms that each round by up to half a unit of
@@ -285,23 +284,17 @@ def _moments(v: np.ndarray, m: np.ndarray, cfg: QuadratureConfig, cross: bool = 
     h = 1.0
     # the h = 1 level is the scan up to its last node, log weights and all
     head = slice(span + 1)
-    values, table = _node_sums(scan_u[head], scan_jac[head], v, m, cross, log_w[head])
+    rows = [] if cross else None
+    values = _node_sums(scan_u[head], scan_jac[head], v, m, rows, log_w[head])
     previous = 0.0  # the gap one halving back; none before the first
     for _ in range(_MAX_HALVINGS):
         mid_u, mid_jac = _warp(_T0 + h * (np.arange(span / h) + 0.5))
         nodes += mid_u.size
-        mid_values, mid_table = _node_sums(mid_u, mid_jac, v, m, cross)
+        mid_values = _node_sums(mid_u, mid_jac, v, m, rows)
         h *= 0.5
         # the fine result less the coarse is h (mid - old), read off the new nodes
         change = np.abs(mid_values - values)
         values += mid_values
-        if cross:
-            # by row chunks, with no k x k gap array
-            for rows in _blocks(v.size, v.size):
-                old, new, row_change = table[rows], mid_table[rows], change[rows]
-                diff = new - old
-                np.maximum(row_change, np.abs(diff, out=diff).max(axis=1), out=row_change)
-                old += new
         gap = float(np.max(h * change / np.maximum(h * values, _TINY)))
         # once the gaps shrink, the next shrinks by their ratio or more
         error = max(gap * gap / previous, _ROUNDING) if gap < previous else gap
@@ -323,8 +316,13 @@ def _moments(v: np.ndarray, m: np.ndarray, cfg: QuadratureConfig, cross: bool = 
             f"(defect {defect:.3e} exceeds {10.0 * cfg.rel_tol:.3e})",
             residual=defect,
         )
+    table = None
     if cross:
-        table *= 0.25 * h  # 1/4 int g g^T w du
+        # 1/4 int g g^T w du on the accepted nodes, one symmetric rank-k update;
+        # h/4 scales the product, as F's subnormal entries would lose bits to it
+        f = np.concatenate(rows)
+        table = f.T @ f
+        table *= 0.25 * h
     values /= total
     smallest = float(values.min())
     if smallest < _TINY:
@@ -487,10 +485,10 @@ class AsymptoticCov:
     E[s_a^4] / 3 (:func:`sign_fourth_moments` is the same table with that
     diagonal tripled), ``eigenvectors`` the orthogonal matrix O that carries
     the eigenbasis into the data coordinates, and ``sscm_spectrum`` the
-    population SSCM eigenvalues from the same quadrature, as
-    :func:`sscm_eigenvalues` returns them: order-guarded and renormalized.
-    W is centred with the per-entry quadrature values before that step,
-    which can differ from ``sscm_spectrum`` in the last bit.
+    population SSCM eigenvalues from the same quadrature, bitwise equal to
+    :func:`sscm_eigenvalues` of the spectrum: order-guarded and renormalized.
+    W is centred with the per-entry values before that step, which can
+    differ from ``sscm_spectrum`` in the last bit.
 
     ``gamma``, the uncentered sign moment matrix in the eigenbasis, is a
     second p^2 x p^2 array: it is scattered from ``cross`` when first read

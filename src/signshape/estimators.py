@@ -74,6 +74,8 @@ _GRAM_FLOOR = 2.0**-900
 # to stay in cache at small p; a chunk has at least _BLOCK rows, so that its
 # rank-k update of the p x p sum stays efficient at large p
 _CHUNK = 1 << 16
+# the spatial median gives up after this many steps with no new best residual
+_STALL = 100
 
 
 def _overflow_safe(*arrays: np.ndarray) -> tuple:
@@ -184,7 +186,8 @@ def spatial_median(data, tol: float = 1e-10, max_iter: int = 1000) -> SpatialMed
     subgradient condition there.  When the iterates close in on an
     observation faster than the residual falls, or stall short of it, that
     observation is returned, converged, if the subgradient condition holds
-    there.  On non-convergence the best iterate seen is returned with
+    there.  On non-convergence, at ``max_iter`` steps or after 100 steps
+    with no new best residual, the best iterate seen is returned with
     ``converged=False``.
     """
     X = _as_data_matrix(data)
@@ -212,7 +215,7 @@ def spatial_median(data, tol: float = 1e-10, max_iter: int = 1000) -> SpatialMed
         exponent = halved + scale
     newton = p * p <= n
     mu = np.zeros_like(origin)
-    best_mu, best_res = mu, np.inf
+    best_mu, best_res, best_at = mu, np.inf, 0
     near, near_dist, last_res = -1, np.inf, np.inf
     trial = None
     for iterations in range(max_iter + 1):  # at least once, as max_iter >= 0
@@ -220,12 +223,13 @@ def spatial_median(data, tol: float = 1e-10, max_iter: int = 1000) -> SpatialMed
         if not np.isfinite(residual):
             break
         if residual < best_res:
-            best_mu, best_res = mu, residual
+            best_mu, best_res, best_at = mu, residual, iterations
         if residual <= tol:
             if n_anchor:
                 return SpatialMedian(X[np.argmin(dist)].copy(), True, iterations, residual, True)
             return SpatialMedian(origin + np.ldexp(mu, exponent), True, iterations, residual)
-        if iterations == max_iter:
+        # with tol below what the steps can reach, the residual only wanders
+        if iterations == max_iter or iterations - best_at == _STALL:
             break
         # step by a correction to mu: its rounding scales with the step, not
         # with |X| as a weighted mean of X would, so the residual can reach tol

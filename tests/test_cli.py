@@ -425,6 +425,21 @@ def test_asymcov_runs_one_quadrature(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["command"] == "asymcov"
 
 
+def test_asymcov_and_map_write_the_same_delta(capsys):
+    # the table's quadrature sums the eigenvalue integrals by the map's formula
+    def delta_text(argv):
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        start = out.index('"delta": ')
+        return out[start : out.index("]", start) + 1]
+
+    rng = np.random.default_rng(41)
+    for p in (3, 5, 8):
+        lam = np.sort(rng.dirichlet(np.ones(p)))[::-1]
+        text = ",".join(map(repr, lam.tolist()))
+        assert delta_text(["asymcov", "--lambdas", text]) == delta_text(["map", "--lambdas", text])
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_non_finite_output_exits_one(monkeypatch, capsys, fmt):
     def non_finite(args):

@@ -274,6 +274,18 @@ class TestSpatialMedian:
         pull = (diff[away] / dist[away, None]).sum(axis=0)
         assert np.linalg.norm(pull) - np.count_nonzero(~away) <= 1e-9
 
+    def test_stall_ends_the_iteration(self):
+        # tol lies below what the steps can reach on this strongly anisotropic
+        # sample: the residual levels off at 1.2e-10 and ran all 1000 steps
+        X = np.random.default_rng(1).standard_normal((50, 2)) * [1, 1e-6]
+        med = spatial_median(X)
+        assert not med.converged
+        assert med.iterations < 2 * estimators._STALL
+        assert 1e-10 < med.residual_gradient_norm < 1.3e-10
+        # the best iterate seen is returned, as at max_iter
+        late = spatial_median(X, max_iter=med.iterations)
+        assert late.location.tobytes() == med.location.tobytes()
+
     @given(
         hnp.arrays(
             float,
